@@ -1,8 +1,8 @@
 """The three workloads, each as one self-contained *round*.
 
-A round builds a fresh complex (timed as set-up), runs a fixed amount
-of work decided entirely by the seed, fails the server, times the
-recovery, and checks the database against a durability oracle.  The
+A round builds fresh complexes (each timed as set-up), runs a fixed
+amount of work decided entirely by the seed, fails the server, times
+the recovery, and checks the database against a durability oracle.  The
 runner repeats rounds until its time budget is spent; every round of a
 run sees the same inputs, so each round's counters must be identical,
 and per-layer counts do not depend on how fast the machine is.
