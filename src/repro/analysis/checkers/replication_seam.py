@@ -5,7 +5,7 @@ apply seam.
 
 The failover durability oracle rests on one invariant: every byte of
 the standby's durable state (the log replica, the page replica, the
-master replica) is a function of the shipped ``(addr, record)`` stream
+master replica) is a function of the shipped ``(addr, frame)`` stream
 and nothing else.  That is what makes the promotion boundary — the ship
 high-water the primary was acknowledged up to — a correct survivor
 boundary, and what makes the replicated chaos sweep's durability
@@ -20,7 +20,8 @@ bootstrap snapshot, which defines address zero of that prefix) dictates:
 * ``_install_page``       — one page image into the page replica
 * ``install_bootstrap``   — the snapshot that (re)seeds the replicas
 
-A ``disk.write_page`` / ``log.append_local`` / ``stable.open_at`` from
+A ``disk.write_page`` / ``log.append_local`` (or its ``*_frame``
+byte-level twins) / ``stable.open_at`` from
 any *other* replication scope is durable state the ship stream did not
 produce — the parity harness cannot see it, and a promotion could
 surface bytes the old primary never acknowledged.
@@ -50,11 +51,12 @@ APPLY_SEAM_METHODS = {
 #: Durable-write calls regardless of receiver.
 DURABLE_WRITE_METHODS = {
     "write_page", "append_local", "append_from_client", "open_at",
+    "append_local_frame", "append_client_frame",
 }
 
 #: ``append`` is a durable write only on a stable-log receiver; bare
 #: ``list.append`` bookkeeping is everywhere and fine.
-STABLE_RECEIVER_METHODS = {"append"}
+STABLE_RECEIVER_METHODS = {"append", "append_frame"}
 
 
 def _is_replication_module(scope: FunctionScope) -> bool:

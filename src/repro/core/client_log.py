@@ -45,9 +45,9 @@ class ClientLogManager:
         self._buffer: List[BufferedRecord] = []
         #: Index of the first record not yet shipped to the server.
         self._ship_cursor = 0
-        #: Rollback lookup index: (txn_id, lsn) -> buffered record.  LSNs
-        #: are unique within a client's stream, so the pair is a key.
-        self._by_txn_lsn: Dict[Tuple[Optional[str], LSN], LogRecord] = {}
+        #: LSN -> buffered entry, for rollback lookups and restart
+        #: replay.  LSNs are unique within a client's stream.
+        self._by_lsn: Dict[LSN, BufferedRecord] = {}
         self.records_written = 0
         self.batches_shipped = 0
         self.records_pruned = 0
@@ -56,8 +56,9 @@ class ClientLogManager:
 
     def append(self, record: LogRecord) -> None:
         """Buffer a record the client just built (LSN already assigned)."""
-        self._buffer.append(BufferedRecord(record))
-        self._by_txn_lsn[(record.txn_id, record.lsn)] = record
+        entry = BufferedRecord(record)
+        self._buffer.append(entry)
+        self._by_lsn[record.lsn] = entry
         self.records_written += 1
 
     def next_lsn(self, page_lsn: LSN = 0) -> LSN:
@@ -104,7 +105,7 @@ class ClientLogManager:
             dropped += 1
         if dropped:
             for entry in self._buffer[:dropped]:
-                self._by_txn_lsn.pop((entry.record.txn_id, entry.record.lsn), None)
+                self._by_lsn.pop(entry.record.lsn, None)
             # One slice deletion instead of `dropped` pop(0) shifts.
             del self._buffer[:dropped]
             self._ship_cursor -= dropped
@@ -126,12 +127,15 @@ class ClientLogManager:
         ]
 
     def note_replayed(self, lsn: LSN, new_addr: LogAddr) -> None:
-        """The server re-appended a lost record at a new address."""
-        for entry in self._buffer:
-            if entry.shipped and entry.record.lsn == lsn:
-                entry.addr = new_addr
-                return
-        raise ValueError(f"replayed record lsn {lsn} not found in buffer")
+        """The server re-appended a lost record at a new address.
+
+        An index lookup, not a buffer scan: restart replays every lost
+        record, so a scan here made replay quadratic in the tail.
+        """
+        entry = self._by_lsn.get(lsn)
+        if entry is None or not entry.shipped:
+            raise ValueError(f"replayed record lsn {lsn} not found in buffer")
+        entry.addr = new_addr
 
     def requeue_unstable(self, server_flushed_addr: LogAddr) -> int:
         """After a server crash: re-queue records the server's log lost.
@@ -158,7 +162,10 @@ class ClientLogManager:
     def find_local(self, txn_id: str, lsn: LSN) -> Optional[LogRecord]:
         """A transaction's record if still buffered locally, else None
         (the rollback path then fetches it from the server)."""
-        return self._by_txn_lsn.get((txn_id, lsn))
+        entry = self._by_lsn.get(lsn)
+        if entry is None or entry.record.txn_id != txn_id:
+            return None
+        return entry.record
 
     def buffered_count(self) -> int:
         return len(self._buffer)
@@ -171,6 +178,6 @@ class ClientLogManager:
     def crash(self) -> None:
         """Client crash: the virtual-storage buffer disappears."""
         self._buffer.clear()
-        self._by_txn_lsn.clear()
+        self._by_lsn.clear()
         self._ship_cursor = 0
         self.clock = LsnClock()

@@ -43,7 +43,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Optional, Tuple, Type, overload
 
 from repro.core import codec
 from repro.core.lsn import LSN, LogAddr, NULL_ADDR, NULL_LSN
@@ -106,6 +106,32 @@ class TxnTableEntry:
     first_lsn: LSN
 
 
+class _FrameSlot:
+    """The ``frame`` attribute: a record's encoded bytes, built once.
+
+    A non-data descriptor: the first read runs :func:`encode_record` and
+    stores the bytes in the instance ``__dict__``, which then shadows the
+    descriptor, so every later read is a plain attribute load.  Records
+    are frozen, so the cached frame cannot go stale.  (This is
+    ``functools.cached_property`` without the lock that its first read
+    takes on Python 3.11, which about doubles the cost of that read.)
+    """
+
+    @overload
+    def __get__(self, record: None, owner: type) -> "_FrameSlot":
+        ...
+
+    @overload
+    def __get__(self, record: "LogRecord", owner: type) -> bytes:
+        ...
+
+    def __get__(self, record: Optional["LogRecord"], owner: type) -> Any:
+        if record is None:
+            return self
+        frame = record.__dict__["frame"] = encode_record(record)
+        return frame
+
+
 @dataclass(frozen=True)
 class LogRecord:
     """Common header shared by all log records."""
@@ -114,6 +140,12 @@ class LogRecord:
     client_id: str
     txn_id: Optional[str]
     prev_lsn: LSN
+
+    #: The record's bytes as the stable log stores them, encoded on
+    #: first use and then reused by every consumer: the wire-size
+    #: charge, the log append, the ship stream.  Records decoded from
+    #: the log do not carry it until something asks.
+    frame = _FrameSlot()
 
     @property
     def type_name(self) -> str:
@@ -244,54 +276,172 @@ _TYPE_TAGS: Dict[str, Type[LogRecord]] = {
     "ECP": EndCheckpointRecord,
     "CDP": CDPLRecord,
 }
-_TAG_BY_TYPE = {cls: tag for tag, cls in _TYPE_TAGS.items()}
+
+
+# The writer: one straight-line function per record kind, emitting the
+# codec's tuple encoding field by field.  A record encodes as
+# ``codec.encode((tag, lsn, client_id, txn_id, prev_lsn, *body))``, and a
+# tuple's encoding is its count prefix followed by each item's own
+# encoding, so each field is written on its own: the common shapes
+# (64-bit ints, str ids, bytes images, None) inline, anything else
+# (BIGINT lsns, non-str ids, bytearray images) through ``codec.encode``
+# of that one value — the same bytes the codec would have written for
+# it inside the tuple.  ``_peek_fast`` below is the read half of this
+# layout.
+
+_pack_len = struct.Struct(">BI").pack   # tag byte + u32 count/length
+_pack_i64 = struct.Struct(">Bq").pack   # tag byte + i64
+_NONE = codec.encode(None)
+_TRUE = codec.encode(True)
+_FALSE = codec.encode(False)
+
+#: Encoded ``op`` field of every update operation.
+_OP_FIELDS: Dict[Optional[UpdateOp], bytes] = {
+    op: codec.encode(op.value) for op in UpdateOp}
+_OP_FIELDS[None] = _NONE
+
+
+def _int_field(value: Any) -> bytes:
+    if type(value) is int:
+        try:
+            return _pack_i64(codec.ORD_INT, value)
+        except struct.error:
+            pass  # outside 64 bits: the codec writes a BIGINT
+    return codec.encode(value)
+
+
+def _str_field(value: Any) -> bytes:
+    if value is None:
+        return _NONE
+    if type(value) is not str:
+        return codec.encode(value)
+    raw = value.encode("utf-8")
+    return _pack_len(codec.ORD_STR, len(raw)) + raw
+
+
+def _bytes_field(value: Any) -> bytes:
+    if value is None:
+        return _NONE
+    if type(value) is bytes:
+        return _pack_len(codec.ORD_BYTES, len(value)) + value
+    return codec.encode(value)
+
+
+def _bool_field(value: Any) -> bytes:
+    if value is True:
+        return _TRUE
+    if value is False:
+        return _FALSE
+    return codec.encode(value)
+
+
+def _prefix(tag: str, body_fields: int) -> bytes:
+    """Tuple head plus the type tag: constant per record kind."""
+    return _pack_len(codec.ORD_TUPLE, 5 + body_fields) + codec.encode(tag)
+
+
+_UPD = _prefix("UPD", 8)
+_CLR = _prefix("CLR", 6)
+_CMT = _prefix("CMT", 0)
+_PRE = _prefix("PRE", 1)
+_END = _prefix("END", 1)
+_BCP = _prefix("BCP", 1)
+_ECP = _prefix("ECP", 3)
+_CDP = _prefix("CDP", 1)
+
+_OUTCOME_FIELDS = {outcome: codec.encode(outcome.value)
+                   for outcome in TxnOutcome}
+
+
+def _write_update(r: UpdateRecord) -> bytes:
+    return b"".join((
+        _UPD, _int_field(r.lsn), _str_field(r.client_id),
+        _str_field(r.txn_id), _int_field(r.prev_lsn),
+        _int_field(r.page_id), _OP_FIELDS[r.op], _int_field(r.slot),
+        _bytes_field(r.before), _bytes_field(r.after),
+        _bool_field(r.redo_only), _bytes_field(r.key),
+        _str_field(r.page_kind),
+    ))
+
+
+def _write_clr(r: CompensationRecord) -> bytes:
+    return b"".join((
+        _CLR, _int_field(r.lsn), _str_field(r.client_id),
+        _str_field(r.txn_id), _int_field(r.prev_lsn),
+        _int_field(r.undo_next_lsn), _int_field(r.page_id),
+        _OP_FIELDS[r.op], _int_field(r.slot), _bytes_field(r.after),
+        _bytes_field(r.key),
+    ))
+
+
+def _write_commit(r: CommitRecord) -> bytes:
+    return b"".join((
+        _CMT, _int_field(r.lsn), _str_field(r.client_id),
+        _str_field(r.txn_id), _int_field(r.prev_lsn),
+    ))
+
+
+def _write_prepare(r: PrepareRecord) -> bytes:
+    return b"".join((
+        _PRE, _int_field(r.lsn), _str_field(r.client_id),
+        _str_field(r.txn_id), _int_field(r.prev_lsn),
+        codec.encode(r.locks),
+    ))
+
+
+def _write_end(r: EndRecord) -> bytes:
+    return b"".join((
+        _END, _int_field(r.lsn), _str_field(r.client_id),
+        _str_field(r.txn_id), _int_field(r.prev_lsn),
+        _OUTCOME_FIELDS[r.outcome],
+    ))
+
+
+def _write_begin_checkpoint(r: BeginCheckpointRecord) -> bytes:
+    return b"".join((
+        _BCP, _int_field(r.lsn), _str_field(r.client_id),
+        _str_field(r.txn_id), _int_field(r.prev_lsn),
+        _str_field(r.owner),
+    ))
+
+
+def _write_end_checkpoint(r: EndCheckpointRecord) -> bytes:
+    return b"".join((
+        _ECP, _int_field(r.lsn), _str_field(r.client_id),
+        _str_field(r.txn_id), _int_field(r.prev_lsn),
+        _str_field(r.owner),
+        codec.encode(tuple(_encode_dpl_entry(e) for e in r.dirty_pages)),
+        codec.encode(tuple(_encode_txn_entry(t) for t in r.transactions)),
+    ))
+
+
+def _write_cdpl(r: CDPLRecord) -> bytes:
+    return b"".join((
+        _CDP, _int_field(r.lsn), _str_field(r.client_id),
+        _str_field(r.txn_id), _int_field(r.prev_lsn),
+        codec.encode(tuple(_encode_dpl_entry(e) for e in r.entries)),
+    ))
+
+
+_WRITERS: Dict[Type[LogRecord], Callable[[Any], bytes]] = {
+    UpdateRecord: _write_update,
+    CompensationRecord: _write_clr,
+    CommitRecord: _write_commit,
+    PrepareRecord: _write_prepare,
+    EndRecord: _write_end,
+    BeginCheckpointRecord: _write_begin_checkpoint,
+    EndCheckpointRecord: _write_end_checkpoint,
+    CDPLRecord: _write_cdpl,
+}
 
 
 def encode_record(record: LogRecord) -> bytes:
-    """Serialize a log record to bytes (the stable log stores these)."""
-    header = (
-        _TAG_BY_TYPE[type(record)],
-        record.lsn,
-        record.client_id,
-        record.txn_id,
-        record.prev_lsn,
-    )
-    body: Tuple = ()
-    if isinstance(record, UpdateRecord):
-        body = (
-            record.page_id,
-            record.op.value,
-            record.slot,
-            record.before,
-            record.after,
-            record.redo_only,
-            record.key,
-            record.page_kind,
-        )
-    elif isinstance(record, CompensationRecord):
-        body = (
-            record.undo_next_lsn,
-            record.page_id,
-            record.op.value if record.op is not None else None,
-            record.slot,
-            record.after,
-            record.key,
-        )
-    elif isinstance(record, PrepareRecord):
-        body = (record.locks,)
-    elif isinstance(record, EndRecord):
-        body = (record.outcome.value,)
-    elif isinstance(record, BeginCheckpointRecord):
-        body = (record.owner,)
-    elif isinstance(record, EndCheckpointRecord):
-        body = (
-            record.owner,
-            tuple(_encode_dpl_entry(e) for e in record.dirty_pages),
-            tuple(_encode_txn_entry(t) for t in record.transactions),
-        )
-    elif isinstance(record, CDPLRecord):
-        body = (tuple(_encode_dpl_entry(e) for e in record.entries),)
-    return codec.encode(header + body)
+    """Serialize a log record to bytes (the stable log stores these).
+
+    The one place record bytes are built; consumers read
+    ``record.frame``, which calls this once per record.
+    """
+    return _WRITERS[type(record)](record)
 
 
 def decode_record(data: bytes) -> LogRecord:

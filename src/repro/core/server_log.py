@@ -187,23 +187,35 @@ class ServerLogManager:
 
     def append_local(self, record: LogRecord) -> LogAddr:
         """Append a record produced by the server itself."""
-        self.clock.observe_lsn(record.lsn)
-        addr = self.stable.append(record)
-        self._note_pair(record.client_id, record.lsn, addr)
+        return self.append_local_frame(record.client_id, record.lsn,
+                                       record.frame)
+
+    def append_local_frame(self, client_id: str, lsn: LSN,
+                           frame: bytes) -> LogAddr:
+        """:meth:`append_local` for an already encoded record."""
+        self.clock.observe_lsn(lsn)
+        addr = self.stable.append_frame(frame, lsn)
+        self._note_pair(client_id, lsn, addr)
         return addr
 
     def append_from_client(self, client_id: str,
                            records: List[LogRecord]) -> List[Tuple[LSN, LogAddr]]:
         """Append a shipped batch; returns the assigned (lsn, addr) pairs."""
-        assigned: List[Tuple[LSN, LogAddr]] = []
-        for record in records:
-            addr = self.stable.append(record)
-            self._note_pair(client_id, record.lsn, addr)
-            self._last_addr_from[client_id] = addr
-            self.clock.observe_lsn(record.lsn)
-            assigned.append((record.lsn, addr))
-            self.client_records_received += 1
-        return assigned
+        return [
+            (record.lsn,
+             self.append_client_frame(client_id, record.lsn, record.frame))
+            for record in records
+        ]
+
+    def append_client_frame(self, client_id: str, lsn: LSN,
+                            frame: bytes) -> LogAddr:
+        """Append one encoded record that arrived from ``client_id``."""
+        addr = self.stable.append_frame(frame, lsn)
+        self._note_pair(client_id, lsn, addr)
+        self._last_addr_from[client_id] = addr
+        self.clock.observe_lsn(lsn)
+        self.client_records_received += 1
+        return addr
 
     def _note_pair(self, client_id: str, lsn: LSN, addr: LogAddr) -> None:
         lsns = self._pair_lsns.setdefault(client_id, [])
@@ -297,6 +309,11 @@ class ServerLogManager:
     def scan(self, from_addr: LogAddr = 0,
              to_addr: Optional[LogAddr] = None) -> Iterator[Tuple[LogAddr, LogRecord]]:
         return self.stable.scan(from_addr, to_addr)
+
+    def scan_frames(self, from_addr: LogAddr = 0,
+                    to_addr: Optional[LogAddr] = None
+                    ) -> Iterator[Tuple[LogAddr, bytes]]:
+        return self.stable.scan_frames(from_addr, to_addr)
 
     def scan_backward(self, from_addr: Optional[LogAddr] = None,
                       down_to_addr: LogAddr = 0) -> Iterator[Tuple[LogAddr, LogRecord]]:

@@ -14,7 +14,7 @@ import enum
 from typing import Any
 
 from repro.core import codec
-from repro.core.log_records import LogRecord, encode_record
+from repro.core.log_records import LogRecord
 from repro.storage.page import Page
 
 
@@ -64,7 +64,7 @@ def payload_size(payload: Any) -> int:
         # empty the slotted content happens to be.
         return payload.page_size
     if isinstance(payload, LogRecord):
-        return len(encode_record(payload))
+        return len(payload.frame)
     if isinstance(payload, (bytes, bytearray)):
         return len(payload)
     if isinstance(payload, str):

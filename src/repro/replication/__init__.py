@@ -11,11 +11,12 @@ rolling forward only its unapplied log tail.
 
 from repro.replication.manager import ReplicationManager
 from repro.replication.standby import StandbyServer
-from repro.replication.stream import STANDBY_ID, ShipBatch
+from repro.replication.stream import STANDBY_ID, ShipBatch, standby_node_id
 
 __all__ = [
     "ReplicationManager",
     "ShipBatch",
     "StandbyServer",
     "STANDBY_ID",
+    "standby_node_id",
 ]

@@ -48,7 +48,7 @@ from repro.net.rpc import (
     StaleEpochError,
 )
 from repro.replication.standby import StandbyServer
-from repro.replication.stream import ShipBatch
+from repro.replication.stream import ShipBatch, standby_node_id
 
 if TYPE_CHECKING:
     from repro.core.system import ClientServerSystem
@@ -100,7 +100,11 @@ class ReplicationManager:
         self.primary.dispatcher.completed_tap = self._dedup_tap
         self.primary.dispatcher.register("replication_heartbeat",
                                          lambda sender: True)
-        self.standby = StandbyServer(self)
+        #: 1 for the complex's first standby, one more for each standby
+        #: attached after a promotion; picks the standby's node id.
+        previous = system.replication
+        self.generation = 1 if previous is None else previous.generation + 1
+        self.standby = StandbyServer(self, standby_node_id(self.generation))
 
     # Observability planes are read off the complex so late attachment
     # (system.attach_tracer after construction) is seen immediately.
@@ -184,7 +188,7 @@ class ReplicationManager:
             return self.ship_hw
         primary = self.primary
         target = primary.log.flushed_addr
-        frames = tuple(primary.log.scan(self.ship_hw, target))
+        frames = tuple(primary.log.scan_frames(self.ship_hw, target))
         if not frames and not self._dedup_tap:
             return self.ship_hw
         faults = self.faults

@@ -12,8 +12,13 @@ replicas and the bookkeeping to promote them:
   by the apply loop every ``SystemConfig.standby_apply_interval`` shipped
   records, so promotion redoes only the unapplied tail;
 * a :class:`~repro.core.commit_lsn.GlobalTransactionTracker` fed with
-  every shipped record, so the promoted server knows each in-flight
-  transaction without rescanning the log.
+  every shipped record's header, so the promoted server knows each
+  in-flight transaction without rescanning the log.
+
+Shipped frames arrive as bytes and are appended as bytes; the tracker
+and the unapplied-page map are fed from each frame's header
+(:func:`~repro.core.log_records.peek_header`), so receiving a batch
+decodes no record.  Only the apply loop decodes, from the replica log.
 
 Durability model: the forced log prefix, the disk images, and the
 ``master`` dict (the stable master record's replica, including the
@@ -38,9 +43,11 @@ from repro.core.log_records import (
     BeginCheckpointRecord,
     DirtyPageEntry,
     EndCheckpointRecord,
+    FrameHeader,
     LogRecord,
     SERVER_ID,
     TxnTableEntry,
+    peek_header,
 )
 from repro.core.lsn import LogAddr, NULL_ADDR, NULL_LSN
 from repro.core.server_log import ServerLogManager
@@ -50,7 +57,7 @@ from repro.errors import (
     ReplicationError,
 )
 from repro.net.rpc import Response, RpcDispatcher
-from repro.replication.stream import STANDBY_ID, ShipBatch
+from repro.replication.stream import ShipBatch
 from repro.storage.disk import Disk
 from repro.storage.page import Page, PageKind
 
@@ -63,10 +70,10 @@ if TYPE_CHECKING:
 class StandbyServer:
     """Receives the ship stream; applies it; can be promoted."""
 
-    node_id = STANDBY_ID
-
-    def __init__(self, manager: "ReplicationManager") -> None:
+    def __init__(self, manager: "ReplicationManager", node_id: str) -> None:
         self.manager = manager
+        #: Network id; the promoted server takes it over (DESIGN §15.1).
+        self.node_id = node_id
         self.config = manager.config
         self.network = manager.network
         self.log = ServerLogManager(0)
@@ -158,7 +165,7 @@ class StandbyServer:
         faults = self.faults
         if faults is not None:
             faults.crashpoint("replication.ship.before_append", self.tracer)
-        for addr, record in batch.frames:
+        for addr, frame in batch.frames:
             end = self.log.end_of_log_addr
             if addr < end:
                 # Re-shipped after a lost ack: already durable here.
@@ -167,7 +174,7 @@ class StandbyServer:
                 raise ReplicationError(
                     f"ship gap: expected next frame at {end}, got {addr}"
                 )
-            self._append_frame(addr, record)
+            self._append_frame(addr, frame)
         self.log.force()
         self._install_master(batch.master)
         self._dedup.extend(batch.dedup)
@@ -176,30 +183,32 @@ class StandbyServer:
         self._maybe_apply()
         return self.log.flushed_addr
 
-    def _append_frame(self, addr: LogAddr, record: LogRecord) -> None:
-        """Apply seam: one shipped frame into the log replica."""
-        if record.client_id == SERVER_ID:
-            assigned = self.log.append_local(record)
+    def _append_frame(self, addr: LogAddr, frame: bytes) -> None:
+        """Apply seam: one shipped frame into the log replica, as bytes."""
+        header = peek_header(frame)
+        if header.client_id == SERVER_ID:
+            assigned = self.log.append_local_frame(
+                header.client_id, header.lsn, frame)
         else:
             # Client-attributed records (including server-written CLRs
             # for failed clients) feed the per-client pair lists, just
             # as arrival at the primary did; the slightly larger
             # ForceAddr this gives server-written CLRs is conservative.
-            (_lsn, assigned), = self.log.append_from_client(
-                record.client_id, [record])
+            assigned = self.log.append_client_frame(
+                header.client_id, header.lsn, frame)
         if assigned != addr:
             raise ReplicationError(
                 f"address divergence: primary assigned {addr}, "
                 f"replica assigned {assigned}"
             )
-        self._observe(addr, record)
+        self._observe(addr, header)
 
-    def _observe(self, addr: LogAddr, record: LogRecord) -> None:
+    def _observe(self, addr: LogAddr, header: FrameHeader) -> None:
         """Volatile bookkeeping for one replica-log record."""
-        self.tracker.observe(record, addr)
-        if record.is_redoable() and record.page_id >= 0 \
-                and record.page_id not in self._unapplied:
-            self._unapplied[record.page_id] = addr
+        self.tracker.observe_header(header, addr)
+        if header.is_redoable() and header.page_id >= 0 \
+                and header.page_id not in self._unapplied:
+            self._unapplied[header.page_id] = addr
 
     def _install_master(self, master: Dict[str, Any]) -> None:
         fresh = dict(master)
@@ -357,19 +366,19 @@ class StandbyServer:
     def recover(self) -> None:
         """Rebuild volatile bookkeeping from the durable replicas.
 
-        One forward scan of the retained replica log re-feeds the
-        tracker and the per-client pair lists; the applied boundary
+        One forward header scan of the retained replica log re-feeds
+        the tracker and the per-client pair lists; the applied boundary
         comes back from the master, and the unapplied map is rebuilt
         from the records above it.
         """
         self.crashed = False
         self.applied_addr = self.master.get(
             "standby_applied_addr", self.log.stable.low_water_addr)
-        for addr, record in self.log.scan():
-            self.log.observe_during_restart(record.client_id,
-                                            record.lsn, addr)
-            self.log.clock.observe_lsn(record.lsn)
+        for addr, header in self.log.scan_headers():
+            self.log.observe_during_restart(header.client_id,
+                                            header.lsn, addr)
+            self.log.clock.observe_lsn(header.lsn)
             if addr >= self.applied_addr:
-                self._observe(addr, record)
+                self._observe(addr, header)
             else:
-                self.tracker.observe(record, addr)
+                self.tracker.observe_header(header, addr)

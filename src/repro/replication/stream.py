@@ -1,12 +1,13 @@
 """Ship-stream framing: what travels primary -> standby (DESIGN §15).
 
-One :class:`ShipBatch` carries a contiguous run of *stable* log frames,
-each tagged with the address the primary's log assigned it.  Addresses
-are byte offsets (``StableLog.append`` returns ``base + len(buf)``), so
-replaying the frames in order onto a replica log opened at the same base
-reproduces the primary's address space byte for byte — the property
-every shipped RecAddr, checkpoint pointer and master-record field relies
-on.  The standby asserts this parity on every append and treats any
+One :class:`ShipBatch` carries a contiguous run of *stable* log frames —
+the record bytes exactly as the primary's log stores them, never
+decoded on the way — each tagged with the address the primary's log
+assigned it.  Addresses are byte offsets (``StableLog.append`` returns
+``base + len(buf)``), so appending the frames in order onto a replica
+log opened at the same base reproduces the primary's address space byte
+for byte — the property every shipped RecAddr, checkpoint pointer and
+master-record field relies on.  The standby asserts this parity on every append and treats any
 divergence as a protocol violation.
 
 The batch also piggybacks two pieces of soft state:
@@ -24,12 +25,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
-from repro.core.log_records import LogRecord
 from repro.core.lsn import LogAddr
 
-#: Node id of the warm standby (the promoted server keeps it, so the
-#: fenced old primary's id stays distinct on the network).
+#: Node id of a complex's first warm standby (the promoted server keeps
+#: it, so the fenced old primary's id stays distinct on the network).
 STANDBY_ID = "STANDBY"
+
+
+def standby_node_id(generation: int) -> str:
+    """Node id of a complex's ``generation``-th standby (1-based).
+
+    A standby attached after a promotion cannot reuse
+    :data:`STANDBY_ID`: the promoted server already answers on it.  So
+    each later generation gets its own id, ``STANDBY-2``, ``STANDBY-3``
+    and so on, while the first keeps the plain id.
+    """
+    return STANDBY_ID if generation == 1 else f"{STANDBY_ID}-{generation}"
 
 
 @dataclass(frozen=True)
@@ -46,8 +57,9 @@ class ShipBatch:
     start_addr: LogAddr
     #: Exclusive upper bound: the primary's flushed address at ship time.
     end_addr: LogAddr
-    #: The stable frames, in address order: ``(addr, record)`` pairs.
-    frames: Tuple[Tuple[LogAddr, LogRecord], ...]
+    #: The stable frames, in address order: ``(addr, frame)`` pairs,
+    #: ``frame`` being the record's encoded bytes.
+    frames: Tuple[Tuple[LogAddr, bytes], ...]
     #: Snapshot of the primary's master record (checkpoint anchors).
     master: Dict[str, Any]
     #: Completed-response entries drained from the primary dispatcher's

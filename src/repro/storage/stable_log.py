@@ -23,12 +23,16 @@ appends are O(1) buffer extends and address arithmetic is byte-exact.
 A sorted frame-start index supports O(log n) address lookup; counting
 (``records_between``) and truncation are index slices — no decoding.
 
-Scanning decodes records on demand from their stored bytes, so recovery
-reads exactly what survived, byte for byte.  The header-only variants
-(``scan_headers`` / ``scan_headers_backward``) peek each frame's header
-fields in place — no slicing, no record allocation — which is what lets
-the recovery passes filter before they materialize; a small LRU of
-decoded records keeps the undo/redo overlap cheap.
+Appending stores a record's frame (``LogRecord.frame``, encoded once per
+record) as it is; ``append_frame`` takes bytes directly, which is how a
+standby appends what its primary shipped.  Scanning decodes records on
+demand from their stored bytes, so recovery reads exactly what survived,
+byte for byte; ``scan_frames`` hands the stored bytes out undecoded.
+The header-only variants (``scan_headers`` / ``scan_headers_backward``)
+peek each frame's header fields in place — no slicing, no record
+allocation — which is what lets the recovery passes filter before they
+materialize; a small LRU of decoded records keeps the undo/redo overlap
+cheap.
 """
 
 from __future__ import annotations
@@ -42,10 +46,12 @@ from repro.core.log_records import (
     FrameHeader,
     LogRecord,
     decode_record,
-    encode_record,
+    # Re-exported: appends no longer encode here (records carry their
+    # frame), but perfbench's smoke test reads this binding.
+    encode_record,  # noqa: F401
     peek_header_in,
 )
-from repro.core.lsn import LogAddr
+from repro.core.lsn import LSN, LogAddr
 from repro.errors import LogError, LogRecordNotFoundError
 
 if TYPE_CHECKING:
@@ -115,9 +121,16 @@ class StableLog:
 
     def append(self, record: LogRecord) -> LogAddr:
         """Append ``record`` to the volatile tail; returns its address."""
+        return self.append_frame(record.frame, record.lsn)
+
+    def append_frame(self, frame: bytes, lsn: LSN) -> LogAddr:
+        """Append one encoded record (``lsn`` is the LSN inside it).
+
+        The log's one write path: a record's cached frame and a frame
+        shipped from a primary land here as the bytes they already are.
+        """
         if self.faults is not None:
             self.faults.crashpoint("log.append.before", self.tracer)
-        frame = encode_record(record)
         addr = self._base + len(self._buf)
         self._buf += _FRAME_LEN.pack(len(frame))
         self._buf += frame
@@ -126,10 +139,10 @@ class StableLog:
         self.bytes_appended += len(frame) + FRAME_OVERHEAD
         if self.tracer is not None:
             self.tracer.instant("log", "append", "server", addr=addr,
-                                lsn=int(record.lsn),
+                                lsn=int(lsn),
                                 nbytes=len(frame) + FRAME_OVERHEAD)
         if self.sanitizer is not None:
-            self.sanitizer.on_log_append(int(record.lsn),
+            self.sanitizer.on_log_append(int(lsn),
                                          addr + FRAME_OVERHEAD + len(frame))
         return addr
 
@@ -299,6 +312,22 @@ class StableLog:
             else:
                 self.full_decodes += 1
                 yield addr, decode_record(self._frame_bytes(index))
+
+    def scan_frames(self, from_addr: LogAddr = 0,
+                    to_addr: Optional[LogAddr] = None
+                    ) -> Iterator[Tuple[LogAddr, bytes]]:
+        """Forward scan yielding ``(addr, frame)``: each record's stored
+        bytes, copied out of the log and never decoded.
+
+        Same address semantics as :func:`scan`.  The replication ship
+        stream reads the log this way: bytes in, bytes out.
+        """
+        start = bisect.bisect_left(self._index, max(from_addr, 0))
+        for index in range(start, len(self._index)):
+            addr = self._index[index]
+            if to_addr is not None and addr >= to_addr:
+                return
+            yield addr, self._frame_bytes(index)
 
     def scan_headers(self, from_addr: LogAddr = 0,
                      to_addr: Optional[LogAddr] = None

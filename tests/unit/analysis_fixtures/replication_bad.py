@@ -21,6 +21,11 @@ class LeakyStandby:
             self.log.force(page.force_addr)
             self.disk.write_page(page)  # lint:expect REP001
 
+    def install_shipped_bytes(self, client_id, lsn, frame):
+        self.log.append_client_frame(client_id, lsn, frame)  # lint:expect REP001
+        self.log.append_local_frame(client_id, lsn, frame)  # lint:expect REP001
+        self.log.stable.append_frame(frame, lsn)  # lint:expect REP001
+
     def reseed(self, base_addr):
         self.log.stable.open_at(base_addr)  # lint:expect REP001
 

@@ -3,12 +3,14 @@
 
 class WellBehavedStandby:
     def receive_batch(self, sender, batch):
-        for addr, record in batch.frames:
-            self._append_frame(addr, record)
+        for addr, frame in batch.frames:
+            self._append_frame(addr, frame)
         return self.log.flushed_addr
 
-    def _append_frame(self, addr, record):
-        assigned = self.log.append_local(record)
+    def _append_frame(self, addr, frame):
+        header = peek_header(frame)
+        assigned = self.log.append_client_frame(
+            header.client_id, header.lsn, frame)
         if assigned != addr:
             raise ValueError("divergence")
 

@@ -112,6 +112,30 @@ class TestReplay:
         with pytest.raises(ValueError):
             clm.note_replayed(42, 100)
 
+    def test_note_replayed_unshipped_lsn_rejected(self, clm):
+        clm.append(update(1))  # buffered, never shipped
+        with pytest.raises(ValueError):
+            clm.note_replayed(1, 100)
+
+    def test_note_replayed_pruned_lsn_rejected(self, clm):
+        clm.append(update(1))
+        clm.note_shipped([(1, 0)])
+        clm.prune_stable(100)
+        with pytest.raises(ValueError):
+            clm.note_replayed(1, 200)
+
+    def test_long_tail_replays_every_address(self, clm):
+        count = 5_000
+        for lsn in range(1, count + 1):
+            clm.append(update(lsn))
+        clm.note_shipped([(lsn, lsn * 10) for lsn in range(1, count + 1)])
+        lost = clm.unstable_records(server_flushed_addr=10)
+        assert len(lost) == count
+        for new_addr, (_old, record) in enumerate(lost):
+            clm.note_replayed(record.lsn, 1_000_000 + new_addr)
+        assert [addr for addr, _ in clm.unstable_records(0)] == \
+            list(range(1_000_000, 1_000_000 + count))
+
     def test_replay_then_unshipped_flow(self, clm):
         """The full restart sequence: replay the lost tail, then ship
         the never-shipped remainder, then prune everything."""

@@ -68,7 +68,7 @@ class TestShipStream:
         applied = standby.invocations_before = None  # readability only
         # Re-deliver the full history as one overlapping batch: every
         # frame is below the standby's end of log and must be skipped.
-        frames = tuple(system.server.log.scan(0, rep.ship_hw))
+        frames = tuple(system.server.log.scan_frames(0, rep.ship_hw))
         batch = ShipBatch(start_addr=0, end_addr=rep.ship_hw,
                           frames=frames,
                           master=system.server.master_snapshot(), dedup=())
@@ -83,7 +83,7 @@ class TestShipStream:
         standby = rep.standby
         end = standby.log.end_of_log_addr
         frames = ((end + 64, next(iter(
-            dict(system.server.log.scan(0, rep.ship_hw)).values()))),)
+            dict(system.server.log.scan_frames(0, rep.ship_hw)).values()))),)
         batch = ShipBatch(start_addr=end + 64, end_addr=end + 128,
                           frames=frames,
                           master=system.server.master_snapshot(), dedup=())
