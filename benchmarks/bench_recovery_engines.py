@@ -1,11 +1,11 @@
-"""Recovery-engine benchmark: serial vs partitioned vs redo_only restart.
+"""Recovery-engine benchmark: fused vs serial restart.
 
 Standalone runner (no pytest required) that builds the same crashed
 complex once per engine — a long committed history from two clients, an
 early server checkpoint, and two heavyweight loser transactions stranded
 just after it — then times the whole-complex restart under each
 ``SystemConfig.recovery_engine``.  Emits ``BENCH_recovery_engines.json``
-next to the repo root so CI and EXPERIMENTS can assert the speedups are
+next to the repo root so CI and EXPERIMENTS can assert the speedup is
 real.
 
 The crash state is adversarial for the serial passes on purpose.
@@ -15,11 +15,10 @@ commits — the instant-restart regime of Sauer & Härder, arXiv
 whose many updates sit just past the checkpoint: the serial engine
 scans the post-checkpoint range twice (analysis, then redo), re-applies
 every loser update (repeat history), walks nearly the whole log
-backward to undo them, and applies every CLR.  The partitioned engine
-fuses analysis with redo-candidate collection (one scan instead of two)
-and resolves undo chains by exact LSN→address lookup (no backward
-scan); redo_only additionally never applies the losers' updates — its
-CLRs are emit-only, so the loser pages are never touched at all.
+backward to undo them, and applies every CLR.  The fused engine
+collects the redo candidates during the analysis scan (one scan instead
+of two) and resolves undo chains by exact LSN→address lookup (no
+backward scan).
 
 Usage::
 
@@ -27,13 +26,13 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_recovery_engines.py --quick   # CI smoke
     PYTHONPATH=src python benchmarks/bench_recovery_engines.py --quick --check
 
-``--check`` exits non-zero unless, on the tier's corpus, partitioned
-beats serial by >= 1.5x and redo_only by >= 2.0x CPU-time.
+``--check`` exits non-zero unless, on the tier's corpus, fused beats
+serial by >= 1.5x CPU-time.
 
 Everything but the timing columns is deterministic: the engines'
 record counts, CLR counts and rolled-back transaction counts are pinned
-per corpus, and partitioned must agree with serial on every applied
-redo and written CLR.
+per corpus, and fused must agree with serial on every applied redo and
+written CLR.
 """
 
 import argparse
@@ -46,9 +45,8 @@ from repro.config import CommitPagePolicy, SystemConfig
 from repro.core.system import ClientServerSystem
 from repro.workloads.generator import seed_table
 
-#: Required serial-over-engine CPU-time factors on the tier's corpus.
-REQUIRED_PARTITIONED = 1.5
-REQUIRED_REDO_ONLY = 2.0
+#: Required serial-over-fused CPU-time factor on either tier's corpus.
+REQUIRED_FUSED = 1.5
 
 
 def build_crash_state(engine, txns, loser_updates, table_pages):
@@ -59,14 +57,11 @@ def build_crash_state(engine, txns, loser_updates, table_pages):
     updates over its own private pages; the bulk of the committed
     history follows.  Commits run under ``FORCE_TO_DISK``, so by
     crash time the committed pages are current on server disk and the
-    only redo work that actually applies is the losers' — exactly the
-    single-pass regime the redo_only engine targets.
+    only redo work that actually applies is the losers'.
     """
     config = SystemConfig(
-        # Pools sized to hold the table: loser pages must never be
-        # evicted (an externalized loser update would trip redo_only's
-        # serial-fallback gate, which is correct but not what this
-        # benchmark measures).
+        # Pools sized to hold the table: loser pages are never evicted,
+        # so none of their updates reach disk before the crash.
         client_buffer_frames=table_pages + 8,
         server_buffer_frames=table_pages + 8,
         client_checkpoint_interval=0,
@@ -95,9 +90,9 @@ def build_crash_state(engine, txns, loser_updates, table_pages):
 
     # Heavy stranded losers, opened right after the checkpoint: the
     # serial backward undo scan must walk the whole bulk history to
-    # reach their records; the chain-walk engines jump straight to them.
-    # Because nothing dirty predates the checkpoint, the partitioned
-    # engine's supplementary pre-checkpoint scan prunes to nothing.
+    # reach their records; the fused engine's chain walk jumps straight
+    # to them.  Because nothing dirty predates the checkpoint, the fused
+    # engine needs no supplementary pre-checkpoint scan.
     loser1 = c1.begin("bench-loser-C1")
     loser2 = c2.begin("bench-loser-C2")
     for j in range(loser_updates):
@@ -163,8 +158,7 @@ def main(argv=None):
     parser.add_argument("--quick", action="store_true",
                         help="small corpus (CI smoke)")
     parser.add_argument("--check", action="store_true",
-                        help="fail unless partitioned >= 1.5x and "
-                             "redo_only >= 2.0x over serial")
+                        help="fail unless fused >= 1.5x over serial")
     parser.add_argument("--out", type=Path,
                         default=Path(__file__).resolve().parent.parent
                         / "BENCH_recovery_engines.json",
@@ -183,11 +177,11 @@ def main(argv=None):
     # round (rather than all of one engine's trials back to back) so
     # allocator/cache state drift over the run penalizes every engine
     # equally: each engine samples each slot in the cycle.
-    engines = ("serial", "partitioned", "redo_only")
+    engines = ("serial", "fused")
     best = {}
     reports = {}
     for trial in range(trials):
-        rotated = engines[trial % 3:] + engines[:trial % 3]
+        rotated = engines[trial % 2:] + engines[:trial % 2]
         for engine in rotated:
             print(f"trial {trial + 1}/{trials}: {engine} restart over "
                   f"{txns}-txn corpus ...", flush=True)
@@ -210,25 +204,17 @@ def main(argv=None):
               flush=True)
 
     by_engine = {r["engine"]: r for r in rows}
-    serial = by_engine["serial"]
-    speedups = {
-        engine: round(serial["elapsed_s"] / by_engine[engine]["elapsed_s"], 2)
-        for engine in ("partitioned", "redo_only")
-    }
-    # Equivalence pins (partitioned must match serial record for record;
-    # redo_only rolls back the same transactions without the applies).
-    mismatches = []
-    for key in ("redos_applied", "clrs_written", "txns_rolled_back"):
-        if by_engine["partitioned"][key] != serial[key]:
-            mismatches.append(f"partitioned {key} diverges from serial")
-    if by_engine["redo_only"]["txns_rolled_back"] != serial["txns_rolled_back"]:
-        mismatches.append("redo_only txns_rolled_back diverges from serial")
-    for engine in ("partitioned", "redo_only"):
-        if by_engine[engine]["fallback"]:
-            mismatches.append(
-                f"{engine} fell back to serial passes "
-                f"({by_engine[engine]['fallback']}) — corpus no longer "
-                f"exercises the engine")
+    serial, fused = by_engine["serial"], by_engine["fused"]
+    speedup = round(serial["elapsed_s"] / fused["elapsed_s"], 2)
+    # Equivalence pins: fused must match serial record for record.
+    mismatches = [f"fused {key} diverges from serial"
+                  for key in ("redos_applied", "clrs_written",
+                              "txns_rolled_back")
+                  if fused[key] != serial[key]]
+    if fused["fallback"]:
+        mismatches.append(
+            f"fused fell back to the serial undo scan ({fused['fallback']})"
+            " — corpus no longer exercises the chain walk")
 
     result = {
         "mode": "quick" if opts.quick else "full",
@@ -236,33 +222,20 @@ def main(argv=None):
         "loser_updates": loser_updates,
         "table_pages": table_pages,
         "rows": rows,
-        "speedup_over_serial": speedups,
-        "required": {"partitioned": REQUIRED_PARTITIONED,
-                     "redo_only": REQUIRED_REDO_ONLY},
+        "speedup_over_serial": {"fused": speedup},
+        "required": {"fused": REQUIRED_FUSED},
         "equivalence_mismatches": mismatches,
     }
     opts.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(f"wrote {opts.out}")
-    print(f"  partitioned over serial: {speedups['partitioned']:.2f}x "
-          f"(required {REQUIRED_PARTITIONED}x)")
-    print(f"  redo_only   over serial: {speedups['redo_only']:.2f}x "
-          f"(required {REQUIRED_REDO_ONLY}x)")
+    print(f"  fused over serial: {speedup:.2f}x (required {REQUIRED_FUSED}x)")
 
     failed = bool(mismatches)
     for mismatch in mismatches:
         print(f"FAIL: {mismatch}")
-    if opts.check:
-        if speedups["partitioned"] < REQUIRED_PARTITIONED:
-            print(f"FAIL: partitioned speedup {speedups['partitioned']:.2f}x "
-                  f"< {REQUIRED_PARTITIONED}x")
-            failed = True
-        # redo_only's advantage is scan-dominance, which needs the large
-        # corpus to separate from the fixed restart costs — the quick
-        # tier gates partitioned only.
-        if not opts.quick and speedups["redo_only"] < REQUIRED_REDO_ONLY:
-            print(f"FAIL: redo_only speedup {speedups['redo_only']:.2f}x "
-                  f"< {REQUIRED_REDO_ONLY}x")
-            failed = True
+    if opts.check and speedup < REQUIRED_FUSED:
+        print(f"FAIL: fused speedup {speedup:.2f}x < {REQUIRED_FUSED}x")
+        failed = True
     return 1 if failed else 0
 
 

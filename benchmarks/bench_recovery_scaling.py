@@ -25,7 +25,8 @@ from repro.recovery.engines import ENGINE_NAMES
 from repro.workloads.generator import seed_table
 
 
-def run_history(total_txns: int, ckpt_interval: int, engine: str = "serial"):
+def run_history(total_txns: int, ckpt_interval: int,
+                engine: str = SystemConfig.recovery_engine):
     config = SystemConfig(
         client_buffer_frames=4,
         client_checkpoint_interval=max(1, ckpt_interval // 4),

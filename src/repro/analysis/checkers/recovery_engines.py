@@ -5,14 +5,14 @@ REC060 — recovery-engine code touches page images only through the
 and emits log records only through the
 :class:`~repro.core.recovery.ClrWriter` seam (``ctx.clr_writer``).
 
-The engines (serial, partitioned, redo_only) are interchangeable
-precisely because every effect they have on the durable state funnels
-through those two protocols: the chaos explorer's engine matrix and the
-engine-equivalence property tests compare durability digests across
-engines, and a direct buffer/pool/disk read or a raw log append from
-engine code is an effect the seams cannot see — byte-identity between
-engines would then depend on code the comparison harness does not
-control.  Reading the log (``ctx.log.read_at`` and friends) is fine;
+The fused engine and the serial reference are interchangeable precisely
+because every effect they have on the durable state funnels through
+those two protocols: the chaos explorer's engine matrix and the
+engine-equivalence property tests compare durability digests and page
+images across the two, and a direct buffer/pool/disk read or a raw log
+append from engine code is an effect the seams cannot see —
+byte-identity between engines would then depend on code the comparison
+harness does not control.  Reading the log (``ctx.log.read_at`` and friends) is fine;
 recovery is a log reader by definition.
 
 A scope counts as *engine code* when a parameter is annotated

@@ -213,21 +213,13 @@ class SystemConfig:
     unsafe_server_checkpoint_excludes_clients: bool = False
 
     #: Which recovery engine ``Server.restart`` / ``recover_failed_client``
-    #: run (``repro.recovery.engines``): ``"serial"`` is the paper's
-    #: three-pass scan, byte-identical to the historical inline code;
-    #: ``"partitioned"`` fuses analysis+redo filtering into one header
-    #: scan, prunes per-partition supplementary scans to their minimum
-    #: DPL RecAddr and resolves undo chains by address lookup instead of
-    #: a full backward scan (identical pages, identical log bytes);
-    #: ``"redo_only"`` is the single-pass engine of Sauer & Härder
-    #: (arXiv 1409.3682) — losers are treated as never-redone and only
-    #: their CLR/End stream is emitted, falling back to ``serial``
-    #: whenever its applicability gates fail (prepared transactions,
-    #: externalized loser updates, logical undo).
-    recovery_engine: str = "serial"
-    #: Page-id partitions the partitioned engine splits redo into (its
-    #: deterministic worker units; merge order is partition index).
-    recovery_partitions: int = 4
+    #: run (``repro.recovery.engines``): ``"fused"`` collects the redo
+    #: candidates during the analysis scan, scans below the checkpoint
+    #: only when the DPL reaches there, and walks undo chains by LSN ->
+    #: address lookup instead of a full backward scan (identical pages,
+    #: identical log bytes); ``"serial"`` is the paper's three-pass scan,
+    #: kept as the reference the fused engine is compared against.
+    recovery_engine: str = "fused"
 
     # -- replication & failover ---------------------------------------
 

@@ -21,8 +21,8 @@ All three passes scan *headers*, not records: every filter they apply
 (client identity, page id, DPL RecAddr, page_LSN, UndoNxtLSN match)
 needs only the fields ``peek_header`` surfaces, so a full record is
 materialized — via the stable log's decode LRU — only for the records
-a pass actually consumes: checkpoint tables, redone updates, undone
-updates, and whatever an ``observer`` asks to see.
+a pass actually consumes: checkpoint tables, redone updates and undone
+updates.
 """
 
 from __future__ import annotations
@@ -126,7 +126,6 @@ def analysis_pass(
     start_addr: LogAddr,
     client_filter: Optional[Set[str]] = None,
     rebuild_log_bookkeeping: bool = False,
-    observer: Optional[Callable[[LogRecord, LogAddr], None]] = None,
     faults: Optional[FaultPlan] = None,
     header_sink: Optional[Callable[[LogAddr, "FrameHeader"], None]] = None,
     header_observer: Optional[Callable[["FrameHeader", LogAddr], None]] = None,
@@ -137,16 +136,15 @@ def analysis_pass(
     (failed-client recovery).  With ``rebuild_log_bookkeeping`` the scan
     also repopulates the server log manager's per-client LSN/address
     pairs — used during server restart, when that volatile state was
-    lost.  ``observer`` sees every scanned record (the server uses it to
-    rebuild its global transaction tracker).  ``faults`` arms the
-    per-record crashpoint that lets the explorer kill recovery itself
-    mid-scan (restart must be restartable, section 2.5).  ``header_sink``
+    lost.  ``faults`` arms the per-record crashpoint that lets the
+    explorer kill recovery itself mid-scan (restart must be restartable,
+    section 2.5).  ``header_sink``
     sees every ``(addr, header)`` the scan visits — the hook that lets a
     fused recovery engine collect redo candidates during analysis
     instead of paying a second header scan over the same range.
-    ``header_observer`` is the cheap form of ``observer``: it sees every
-    ``(header, addr)`` without the full-record decode, which is all the
-    transaction tracker needs; when both are given the header form wins.
+    ``header_observer`` sees every ``(header, addr)`` without the
+    full-record decode (the server uses it to rebuild its global
+    transaction tracker).
     """
     result = AnalysisResult(end_addr=log.end_of_log_addr)
     for addr, header in log.scan_headers(start_addr):
@@ -162,8 +160,6 @@ def analysis_pass(
             log.observe_during_restart(header.client_id, header.lsn, addr)
         if header_observer is not None:
             header_observer(header, addr)
-        elif observer is not None:
-            observer(log.read_at(addr), addr)
         tag = header.type_tag
         if tag == "ECP":
             ecp = log.read_at(addr)

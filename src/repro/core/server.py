@@ -85,7 +85,7 @@ class RecoveryReport:
     dpl_size: int = 0
     #: Which recovery engine ran (``SystemConfig.recovery_engine``).
     engine: str = "serial"
-    #: Why a non-serial engine fell back to the serial passes, if it did.
+    #: Why the fused engine fell back to the serial undo scan, if it did.
     fallback: Optional[str] = None
 
     @property
@@ -1249,13 +1249,10 @@ class Server:
                 if txn.client_id == SERVER_ID or txn.client_id in failed_clients
             }
 
-        engine = make_engine(self.config.recovery_engine,
-                             self.config.recovery_partitions)
-        result = engine.run(RecoveryContext(
+        result = make_engine(self.config.recovery_engine).run(RecoveryContext(
             log=self.log,
             pages=_ServerPageAccess(self),
             clr_writer=_ServerClrWriter(self),
-            kind="server-restart",
             crashpoint_prefix="server.restart",
             analysis_scan_start=start_addr,
             rebuild_log_bookkeeping=True,
@@ -1268,7 +1265,6 @@ class Server:
             analysis_span_attrs={"start_addr": start_addr},
             after_analysis=_after_analysis,
             loser_filter=_restart_losers,
-            partitions=self.config.recovery_partitions,
         ))
         analysis, redo, undo = result.analysis, result.redo, result.undo
         self.log.force()
@@ -1379,7 +1375,6 @@ class Server:
             log=self.log,
             pages=_ServerPageAccess(self),
             clr_writer=_ServerClrWriter(self),
-            kind="client-recovery",
             crashpoint_prefix="server.client_recovery",
             client_filter={client_id},
             logical_undo=self.logical_undo_handler,
@@ -1388,21 +1383,19 @@ class Server:
             metrics=self.metrics,
             span_attrs={"client": client_id},
             pre_redo=_rebuild_forwarded,
-            partitions=self.config.recovery_partitions,
         )
         if self.config.client_recovery_info is ClientRecoveryInfo.CLIENT_CHECKPOINTS:
             # Section 2.6.1: a real analysis scan from the client's last
             # complete checkpoint (historically armed with no faults).
             ctx.analysis_scan_start = self._master["client_ckpts"].get(
                 client_id, 0)
+            ctx.analysis_span_attrs = {"start_addr": ctx.analysis_scan_start}
         else:
             # Section 2.6.2: no scan at all — the GLM lock table and the
             # global tracker supply the analysis tables directly.
             ctx.analysis_supplier = (
                 lambda: self._client_analysis_from_lock_table(client_id))
-        engine = make_engine(self.config.recovery_engine,
-                             self.config.recovery_partitions)
-        result = engine.run(ctx)
+        result = make_engine(self.config.recovery_engine).run(ctx)
         analysis, redo, undo = result.analysis, result.redo, result.undo
         self.log.force()
 

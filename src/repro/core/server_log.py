@@ -21,7 +21,7 @@ to conservative bounds supplied by the caller.
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.log_records import FrameHeader, LogRecord
 from repro.core.lsn import LSN, LogAddr, LsnClock, NULL_ADDR
@@ -170,6 +170,8 @@ class ServerLogManager:
         #: Per client: parallel sorted lists of LSNs and their addresses.
         self._pair_lsns: Dict[str, List[LSN]] = {}
         self._pair_addrs: Dict[str, List[LogAddr]] = {}
+        #: Per client: LSNs it logged more than once (see _note_pair).
+        self._reissued_lsns: Dict[str, Set[LSN]] = {}
         self._last_addr_from: Dict[str, LogAddr] = {}
         self.client_records_received = 0
 
@@ -221,8 +223,15 @@ class ServerLogManager:
         lsns = self._pair_lsns.setdefault(client_id, [])
         addrs = self._pair_addrs.setdefault(client_id, [])
         if lsns and lsn <= lsns[-1]:
-            # LSNs from one system are monotonic; a duplicate would break
-            # the binary search.  Tolerate re-observation during restart.
+            # Keep the lists sorted for the binary search.  This is either
+            # a re-observation during restart (same pair) or a client that
+            # crashed: its LSN clock is volatile, so once reconnected it
+            # can reissue an LSN it already logged.  Remember those, so
+            # an exact lookup never answers with the older record.
+            index = bisect.bisect_left(lsns, lsn)
+            if index < len(lsns) and lsns[index] == lsn \
+                    and addrs[index] != addr:
+                self._reissued_lsns.setdefault(client_id, set()).add(lsn)
             return
         lsns.append(lsn)
         addrs.append(addr)
@@ -260,15 +269,18 @@ class ServerLogManager:
     def addr_of_lsn(self, client_id: str, lsn: LSN) -> Optional[LogAddr]:
         """Exact address of the record a client wrote with this LSN.
 
-        The chain-walking recovery engines use this to jump an undo
-        chain (expected UndoNxtLSN -> record address) instead of the
-        serial backward scan: LSNs within one system are unique and
-        monotonic, so the pair lists answer with one binary search.
-        Returns ``None`` when the pair is unknown (conservative callers
-        fall back to the scanning undo pass).
+        The fused recovery engine uses this to jump an undo chain
+        (expected UndoNxtLSN -> record address) instead of the serial
+        backward scan; the pair lists answer with one binary search.
+        LSNs are not monotonic across a client crash: the client's LSN
+        clock restarts, so a reconnected client can reissue LSNs it
+        already logged, and only the first pair of a reissued LSN is
+        kept.  Returns ``None`` when the pair is unknown or the LSN was
+        reissued (callers fall back to the scanning undo pass, which
+        matches on transaction id as well as LSN).
         """
         lsns = self._pair_lsns.get(client_id)
-        if not lsns:
+        if not lsns or lsn in self._reissued_lsns.get(client_id, ()):
             return None
         index = bisect.bisect_left(lsns, lsn)
         if index < len(lsns) and lsns[index] == lsn:
@@ -344,4 +356,5 @@ class ServerLogManager:
         self.clock = LsnClock()
         self._pair_lsns.clear()
         self._pair_addrs.clear()
+        self._reissued_lsns.clear()
         self._last_addr_from.clear()

@@ -168,7 +168,7 @@ class _WorkloadRun:
 
     def __init__(self, seed: int, schedule: Schedule,
                  engine: bool = False, sanitizer: bool = False,
-                 recovery_engine: str = "serial",
+                 recovery_engine: str = SystemConfig.recovery_engine,
                  flight: bool = False,
                  replication: bool = False) -> None:
         self.seed = seed
@@ -512,7 +512,7 @@ class ExplorerSummary:
     #: engine (``--engine``) instead of the direct client API.
     engine: bool = False
     #: Which recovery engine every schedule's recoveries ran under.
-    recovery_engine: str = "serial"
+    recovery_engine: str = SystemConfig.recovery_engine
     #: Whether the sweep ran against a complex with a warm standby
     #: attached (plus the fail-stop + failover coda).
     replication: bool = False
@@ -559,7 +559,7 @@ class ExplorerSummary:
             f"mode={'quick' if self.quick else 'full'}"
             f"{' executor=engine' if self.engine else ''}"
             f"{' replication=on' if self.replication else ''}"
-            f"{'' if self.recovery_engine == 'serial' else ' recovery=' + self.recovery_engine}",
+            f" recovery={self.recovery_engine}",
             f"  crashpoints censused : {self.points_covered}"
             f" (of {len(CRASHPOINTS)} instrumented)",
             f"  schedules explored   : {self.schedules_explored}"
@@ -581,7 +581,7 @@ class CrashScheduleExplorer:
     def __init__(self, seed: int = 0, quick: bool = False,
                  budget: Optional[int] = None,
                  engine: bool = False, sanitizer: bool = False,
-                 recovery_engine: str = "serial",
+                 recovery_engine: str = SystemConfig.recovery_engine,
                  flight: bool = False,
                  flight_dir: Optional[str] = None,
                  replication: bool = False) -> None:
@@ -910,12 +910,12 @@ def render_parity_text(report: Dict[str, Any]) -> str:
 def run_engine_matrix(seed: int = 0, quick: bool = False,
                       budget: Optional[int] = None, engine: bool = False,
                       sanitizer: bool = False) -> Dict[str, Any]:
-    """The same sweep under every recovery engine; durability must agree.
+    """The same sweep under the fused engine and the serial reference.
 
     Each engine gets its own census and enumeration (its crashpoint
-    shapes differ), then every schedule id two engines have in common
-    must carry identical durability digests — same transaction
-    outcomes, same violations (none), same recovered values.
+    shapes differ), then every schedule id the two have in common must
+    carry identical durability digests — same transaction outcomes, same
+    violations (none), same recovered values.
     """
     from repro.recovery.engines import ENGINE_NAMES
 
@@ -999,12 +999,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="arm the runtime latch/lock-order sanitizer "
                              "for every schedule (a violation aborts the "
                              "sweep with a traceback)")
-    parser.add_argument("--recovery-engine", default="serial",
-                        choices=["serial", "partitioned", "redo_only",
-                                 "matrix"],
+    parser.add_argument("--recovery-engine",
+                        default=SystemConfig.recovery_engine,
+                        choices=["fused", "serial", "matrix"],
                         help="recovery engine for every recovery in the "
-                             "sweep; 'matrix' sweeps under all three and "
-                             "requires identical durability digests")
+                             "sweep (default: fused); 'matrix' sweeps "
+                             "under fused and serial and requires "
+                             "identical durability digests")
     parser.add_argument("--replication", action="store_true",
                         help="attach a warm standby to every run, add a "
                              "fail-stop + failover coda, and explore the "
@@ -1050,7 +1051,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if not report["mismatches"] and not report["violations"] \
             else 1
 
-    recovery_engine = ("serial" if args.recovery_engine == "matrix"
+    recovery_engine = (SystemConfig.recovery_engine
+                       if args.recovery_engine == "matrix"
                        else args.recovery_engine)
     explorer = CrashScheduleExplorer(seed=args.seed, quick=args.quick,
                                      budget=args.budget,

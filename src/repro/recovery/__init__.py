@@ -1,12 +1,11 @@
-"""Pluggable recovery engines (serial / partitioned / redo_only)."""
+"""Recovery engines (fused / serial)."""
 
 from repro.recovery.engines import (
     ENGINE_NAMES,
     EngineResult,
-    PartitionedRecoveryEngine,
+    FusedRecoveryEngine,
     RecoveryContext,
     RecoveryEngine,
-    RedoOnlyRecoveryEngine,
     SerialRecoveryEngine,
     make_engine,
 )
@@ -14,10 +13,9 @@ from repro.recovery.engines import (
 __all__ = [
     "ENGINE_NAMES",
     "EngineResult",
-    "PartitionedRecoveryEngine",
+    "FusedRecoveryEngine",
     "RecoveryContext",
     "RecoveryEngine",
-    "RedoOnlyRecoveryEngine",
     "SerialRecoveryEngine",
     "make_engine",
 ]

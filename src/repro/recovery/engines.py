@@ -1,34 +1,25 @@
-"""Pluggable recovery engines: serial, partitioned-parallel, redo-only.
+"""Recovery engines: the fused single-scan engine and the serial reference.
 
 ``Server.restart`` (section 2.7) and ``recover_failed_client``
-(sections 2.6.1/2.6.2) no longer hard-code the three-pass scan: they
-build a :class:`RecoveryContext` describing *what* must be recovered and
-hand it to the engine named by ``SystemConfig.recovery_engine``:
+(sections 2.6.1/2.6.2) do not hard-code the three-pass scan: they build
+a :class:`RecoveryContext` describing *what* must be recovered and hand
+it to the engine named by ``SystemConfig.recovery_engine``:
 
+* ``fused`` (the default) — one analysis scan that also collects the
+  redo candidates, a supplementary header scan of ``[redo_addr, analysis
+  start)`` only when the DPL reaches below the checkpoint, and undo that
+  walks each loser's chain by exact LSN→address lookup
+  (``ServerLogManager.addr_of_lsn``) instead of scanning the log
+  backward.  The chain items are undone in descending record-address
+  order, exactly the order the serial backward scan visits them, so page
+  images *and* the emitted CLR/End stream are byte-identical to
+  ``serial``.  A chain LSN with no known address, or one that resolves to
+  another transaction's record (a reconnected client reissues LSNs it
+  already logged), falls back to the scanning undo pass.
 * ``serial`` — the paper's analysis/redo/undo passes, byte-identical to
   the historical inline code (same spans, same crashpoints, same scan
-  counts, same log bytes).
-* ``partitioned`` — fuses analysis and redo-candidate collection into a
-  single header-level pass, splits redo into page-id partitions whose
-  supplementary pre-checkpoint scans are pruned to the partition's
-  minimum DPL RecAddr, and resolves undo chains by exact LSN→address
-  lookup (``ServerLogManager.addr_of_lsn``) grouped per loser client
-  instead of a full backward scan.  Partitions run as deterministic
-  worker units in partition-index order and undo work is applied through
-  a canonical merge in descending record-address order — exactly the
-  order the serial backward scan visits — so page images *and* the
-  emitted CLR/End stream are byte-identical to ``serial``.
-* ``redo_only`` — the single-pass design of Sauer & Härder (arXiv
-  1409.3682): committed history is replayed forward and loser updates
-  are treated as never-redone, skipping both their page application and
-  the whole undo scan.  Repeating history stays sound because the
-  engine still emits the losers' CLR/End stream into the log (without
-  touching pages): a future restart either redoes update+CLR (net
-  before-image) or neither.  Applicability gates fall back to the
-  serial passes whenever skipping would be unsound: prepared (in-doubt)
-  transactions present, a loser update already externalized to the
-  page image, pending logical undo, a prior partial rollback, or an
-  unresolvable chain.
+  counts, same log bytes).  It is the reference the equivalence tests,
+  the chaos engine matrix and the recovery benchmarks compare against.
 
 Engines reach pages only through :class:`RecoveryPageAccess` and emit
 log records only through :class:`ClrWriter` (lint rule REC060 enforces
@@ -41,12 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.apply import (
-    apply_clr_redo,
-    apply_redo,
-    physical_undo_effect,
-    redo_needed,
-)
+from repro.core.apply import apply_clr_redo, apply_redo, redo_needed
 from repro.core.log_records import CompensationRecord, FrameHeader, UpdateRecord
 from repro.core.lsn import LogAddr, NULL_LSN
 from repro.core.recovery import (
@@ -71,7 +57,7 @@ if TYPE_CHECKING:
     from repro.obs.tracer import Tracer
 
 #: The selectable engine names, in canonical comparison order.
-ENGINE_NAMES = ("serial", "partitioned", "redo_only")
+ENGINE_NAMES = ("serial", "fused")
 
 
 @dataclass
@@ -87,8 +73,6 @@ class RecoveryContext:
     log: ServerLogManager
     pages: RecoveryPageAccess
     clr_writer: ClrWriter
-    #: ``"server-restart"`` or ``"client-recovery"``.
-    kind: str
     #: Crashpoint namespace: ``server.restart`` / ``server.client_recovery``.
     crashpoint_prefix: str
     #: Where the analysis scan starts (``None`` when a supplier below
@@ -97,9 +81,8 @@ class RecoveryContext:
     analysis_supplier: Optional[Callable[[], AnalysisResult]] = None
     client_filter: Optional[Set[str]] = None
     rebuild_log_bookkeeping: bool = False
-    observer: Optional[Callable] = None
-    #: Header-only observer (preferred): sees ``(header, addr)`` per
-    #: scanned record without the full decode.
+    #: Sees ``(header, addr)`` per scanned analysis record, without the
+    #: full decode.
     header_observer: Optional[Callable] = None
     #: Faults armed for the analysis scan specifically (client recovery
     #: historically scans analysis unarmed; restart arms it).
@@ -122,7 +105,6 @@ class RecoveryContext:
     loser_filter: Optional[
         Callable[[Dict[str, RestartTxn]], Dict[str, RestartTxn]]
     ] = None
-    partitions: int = 4
 
 
 @dataclass
@@ -134,8 +116,8 @@ class EngineResult:
     redo: RedoStats
     undo: UndoStats
     forwarded_redos: int = 0
-    #: Set when ``redo_only``/``partitioned`` had to run the serial
-    #: passes instead (applicability gate failed); names the gate.
+    #: Set when the fused engine had to run the serial undo scan
+    #: instead of walking the chains; names the reason.
     fallback: Optional[str] = None
 
 
@@ -149,7 +131,13 @@ class RecoveryEngine:
 
 
 class _ChainLookupMiss(Exception):
-    """An undo chain LSN had no known address; fall back to scanning."""
+    """An undo chain LSN did not resolve to its own transaction's record.
+
+    Either ``addr_of_lsn`` had no answer (the pair is unknown, or the
+    client reissued the LSN after a crash) or the answer is another
+    transaction's record; the caller falls back to the scanning undo
+    pass.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +182,8 @@ _PROGRESS_SAMPLE_EVERY = 64
 
 
 def _progress_observer(ctx: RecoveryContext,
-                       inner: Optional[Callable]) -> Callable:
+                       inner: Optional[Callable[[FrameHeader, LogAddr], None]]
+                       ) -> Callable[[FrameHeader, LogAddr], None]:
     """Wrap the analysis header observer with the restart progress meter.
 
     Samples ``restart_progress`` (records scanned so far, on the hub's
@@ -212,14 +201,14 @@ def _progress_observer(ctx: RecoveryContext,
         0, ctx.log.stable.end_of_log_addr - start)
     scanned = 0
 
-    def observer(first: object, addr: LogAddr) -> None:
+    def observer(header: FrameHeader, addr: LogAddr) -> None:
         nonlocal scanned
         scanned += 1
         if scanned % _PROGRESS_SAMPLE_EVERY == 0:
             series.sample(metrics.next_tick(),  # type: ignore[attr-defined]
                           scanned)
         if inner is not None:
-            inner(first, addr)
+            inner(header, addr)
 
     return observer
 
@@ -231,20 +220,12 @@ def _run_analysis(ctx: RecoveryContext,
         return ctx.analysis_supplier()
     assert ctx.analysis_scan_start is not None
     header_observer = ctx.header_observer
-    observer = ctx.observer
     if ctx.metrics is not None:
-        # analysis_pass prefers the header observer when both hooks are
-        # set, so wrap whichever one will actually fire — meter on the
-        # cheap header path unless only a full-record observer exists.
-        if header_observer is not None or observer is None:
-            header_observer = _progress_observer(ctx, header_observer)
-        else:
-            observer = _progress_observer(ctx, observer)
+        header_observer = _progress_observer(ctx, header_observer)
     return analysis_pass(
         ctx.log, ctx.analysis_scan_start,
         client_filter=ctx.client_filter,
         rebuild_log_bookkeeping=ctx.rebuild_log_bookkeeping,
-        observer=observer,
         faults=ctx.analysis_faults,
         header_sink=header_sink,
         header_observer=header_observer,
@@ -358,7 +339,7 @@ def _select_losers(ctx: RecoveryContext,
 # ---------------------------------------------------------------------------
 
 class SerialRecoveryEngine(RecoveryEngine):
-    """The paper's passes, byte-identical to the pre-engine inline code."""
+    """The paper's passes: the reference the fused engine must match."""
 
     name = "serial"
 
@@ -380,23 +361,23 @@ class SerialRecoveryEngine(RecoveryEngine):
 
 
 # ---------------------------------------------------------------------------
-# Candidate collection shared by the fused engines
+# Fused: one analysis+candidate scan, then chain-walk undo
 # ---------------------------------------------------------------------------
 
-class _CandidateCollector:
-    """Redo candidates gathered during (or after) the analysis scan.
+#: One redo candidate: (addr, header).
+_Candidate = Tuple[LogAddr, FrameHeader]
 
-    A candidate is any redoable record that passes the client filter;
-    the DPL RecAddr filter can only run once analysis has finished, so
-    it is applied at partition time.
+
+class _Candidates:
+    """Redo candidates: redoable page records that pass the client filter.
+
+    The DPL RecAddr filter can only run once analysis has finished, so
+    :func:`_apply_candidates` applies it.
     """
 
     def __init__(self, client_filter: Optional[Set[str]]) -> None:
         self.client_filter = client_filter
-        self.fused: List[Tuple[LogAddr, FrameHeader]] = []
-        #: Headers examined by supplementary scans (redo-pass work the
-        #: fused analysis scan did NOT already cover).
-        self._supplementary_scanned = 0
+        self.items: List[_Candidate] = []
 
     def sink(self, addr: LogAddr, header: FrameHeader) -> None:
         if not header.is_redoable() or header.page_id < 0:
@@ -404,77 +385,43 @@ class _CandidateCollector:
         if (self.client_filter is not None
                 and header.client_id not in self.client_filter):
             return
-        self.fused.append((addr, header))
-
-    def supplementary(self, log: ServerLogManager, from_addr: LogAddr,
-                      to_addr: LogAddr) -> List[Tuple[LogAddr, FrameHeader]]:
-        out: List[Tuple[LogAddr, FrameHeader]] = []
-        for addr, header in log.scan_headers(from_addr, to_addr):
-            self._supplementary_scanned += 1
-            if not header.is_redoable() or header.page_id < 0:
-                continue
-            if (self.client_filter is not None
-                    and header.client_id not in self.client_filter):
-                continue
-            out.append((addr, header))
-        return out
+        self.items.append((addr, header))
 
 
-def _collect_candidates(ctx: RecoveryContext, analysis: AnalysisResult,
-                        collector: _CandidateCollector, fused: bool,
-                        partitions: int
-                        ) -> Tuple[List[List[Tuple[LogAddr, FrameHeader]]],
-                                   int]:
-    """Partitioned candidate lists (ascending address within each).
+def _redo_candidates(ctx: RecoveryContext, analysis: AnalysisResult,
+                     fused: Optional[_Candidates]
+                     ) -> Tuple[List[_Candidate], int]:
+    """Every redo candidate in ascending address order, plus the number
+    of headers a supplementary scan examined to find them.
 
-    With a fused analysis scan the candidates for ``[start, end)`` are
-    already collected; only the pre-checkpoint range
-    ``[RecAddr_min, start)`` needs one supplementary scan, starting at
-    the global minimum DPL RecAddr below the checkpoint and routed to
-    partitions with each partition pruned to its own minimum (a record
-    older than every RecAddr of its partition's pages cannot pass the
-    DPL filter, so it is dropped without a header materialization in
-    the partition worker).  Without a fused scan (analysis came from a
-    supplier) the supplementary scan covers the whole redo range.
+    ``fused`` holds the candidates the analysis scan already collected
+    for ``[start, end)``; only ``[redo_addr, start)`` then needs a scan,
+    and only when the DPL reaches below the checkpoint.  ``None`` means
+    the analysis came from a supplier without scanning (the section
+    2.6.2 variant), so the scan covers the whole redo range.
     """
-    parts: List[List[Tuple[LogAddr, FrameHeader]]] = [
-        [] for _ in range(partitions)
-    ]
-    if fused:
-        base = ctx.analysis_scan_start
-        assert base is not None
-        if analysis.redo_addr < base:
-            part_start: Dict[int, LogAddr] = {}
-            for page_id, rec_addr in analysis.dpl.items():
-                if rec_addr >= base:
-                    continue
-                p = page_id % partitions
-                if p not in part_start or rec_addr < part_start[p]:
-                    part_start[p] = rec_addr
-            for addr, header in collector.supplementary(
-                    ctx.log, min(part_start.values()), base):
-                p = header.page_id % partitions
-                if p in part_start and addr >= part_start[p]:
-                    parts[p].append((addr, header))
-        for addr, header in collector.fused:
-            parts[header.page_id % partitions].append((addr, header))
+    if fused is None:
+        end = analysis.end_addr
     else:
-        for addr, header in collector.supplementary(
-                ctx.log, analysis.redo_addr, analysis.end_addr):
-            parts[header.page_id % partitions].append((addr, header))
-    return parts, collector._supplementary_scanned
+        assert ctx.analysis_scan_start is not None
+        end = ctx.analysis_scan_start
+    candidates = _Candidates(ctx.client_filter)
+    scanned = 0
+    if analysis.redo_addr < end:
+        for addr, header in ctx.log.scan_headers(analysis.redo_addr, end):
+            scanned += 1
+            candidates.sink(addr, header)
+    if fused is not None:
+        candidates.items.extend(fused.items)
+    return candidates.items, scanned
 
 
 def _apply_candidates(ctx: RecoveryContext, analysis: AnalysisResult,
-                      items: List[Tuple[LogAddr, FrameHeader]],
-                      stats: RedoStats,
-                      skip: Optional[Set[str]] = None) -> None:
-    """Apply one partition's candidates in ascending address order.
+                      items: List[_Candidate], stats: RedoStats) -> None:
+    """Apply the candidates in ascending address order.
 
     Identical filtering to :func:`redo_pass`: DPL membership with
-    ``RecAddr <= addr``, then ``page_LSN < LSN``.  ``skip`` names loser
-    transactions whose non-NTA updates are treated as never-redone
-    (the redo-only engine).
+    ``RecAddr <= addr``, then ``page_LSN < LSN``.
     """
     dpl = analysis.dpl
     for addr, header in items:
@@ -482,9 +429,6 @@ def _apply_candidates(ctx: RecoveryContext, analysis: AnalysisResult,
             ctx.faults.crashpoint("recovery.redo.scan")
         rec_addr = dpl.get(header.page_id)
         if rec_addr is None or addr < rec_addr:
-            continue
-        if (skip is not None and header.txn_id in skip
-                and not header.redo_only):
             continue
         stats.records_considered += 1
         page = ctx.pages.fetch(header.page_id)
@@ -503,10 +447,6 @@ def _apply_candidates(ctx: RecoveryContext, analysis: AnalysisResult,
         )
 
 
-# ---------------------------------------------------------------------------
-# Chain-walking undo shared by partitioned and redo-only
-# ---------------------------------------------------------------------------
-
 #: One undo-chain position: (addr, header, txn_id).
 _ChainItem = Tuple[LogAddr, FrameHeader, str]
 
@@ -515,12 +455,11 @@ def _resolve_chains(ctx: RecoveryContext, losers: Dict[str, RestartTxn]
                     ) -> List[_ChainItem]:
     """Walk every loser's UndoNxtLSN chain via exact address lookups.
 
-    Chains are resolved per loser (the per-client partitioning of undo
-    work — each chain is one client's records by construction), then
-    the caller merges them in descending address order, which is
+    The items are returned merged in descending address order, which is
     exactly the order the serial backward scan would visit the same
     records.  Raises :class:`_ChainLookupMiss` when an LSN has no known
-    address — the caller falls back to the scanning undo pass.
+    address or resolves to another transaction's record — the caller
+    falls back to the scanning undo pass.
     """
     items: List[_ChainItem] = []
     for txn_id, txn in losers.items():
@@ -531,10 +470,8 @@ def _resolve_chains(ctx: RecoveryContext, losers: Dict[str, RestartTxn]
                 raise _ChainLookupMiss(f"{txn.client_id}:{lsn}")
             header = ctx.log.header_at(addr)
             if header.txn_id != txn_id:
-                raise RecoveryInvariantError(
-                    f"undo chain of {txn_id} resolved lsn {lsn} to a record "
-                    f"of {header.txn_id}"
-                )
+                raise _ChainLookupMiss(
+                    f"{txn.client_id}:{lsn} is a record of {header.txn_id}")
             items.append((addr, header, txn_id))
             if header.is_clr():
                 lsn = header.undo_next_lsn
@@ -550,14 +487,11 @@ def _resolve_chains(ctx: RecoveryContext, losers: Dict[str, RestartTxn]
 
 
 def _chain_undo(ctx: RecoveryContext, losers: Dict[str, RestartTxn],
-                items: List[_ChainItem], apply_pages: bool) -> UndoStats:
+                items: List[_ChainItem]) -> UndoStats:
     """Undo the merged chain items in descending address order.
 
-    With ``apply_pages`` this produces the byte-identical CLR/End stream
-    and page images of the serial undo pass (the partitioned engine);
-    without it, CLRs and Ends are emitted but no page is touched and the
-    CLR LSN is raised above the never-applied update's LSN so a future
-    restart redoes update-then-CLR in order (the redo-only engine).
+    Produces the byte-identical CLR/End stream and page images of the
+    serial undo pass.
     """
     stats = UndoStats()
     expected: Dict[str, int] = {}
@@ -583,13 +517,9 @@ def _chain_undo(ctx: RecoveryContext, losers: Dict[str, RestartTxn],
         else:
             record = ctx.log.read_at(addr)
             assert isinstance(record, UpdateRecord)
-            if apply_pages:
-                clr_lsn = _undo_one(record, ctx.pages, ctx.clr_writer, txn,
-                                    last_lsn[txn_id], ctx.logical_undo)
-            else:
-                clr_lsn = _emit_unapplied_clr(ctx, record, txn,
-                                              last_lsn[txn_id])
-            last_lsn[txn_id] = clr_lsn
+            last_lsn[txn_id] = _undo_one(record, ctx.pages, ctx.clr_writer,
+                                         txn, last_lsn[txn_id],
+                                         ctx.logical_undo)
             expected[txn_id] = record.prev_lsn
             stats.clrs_written += 1
             stats.clrs_by_client[txn.client_id] = (
@@ -607,76 +537,27 @@ def _chain_undo(ctx: RecoveryContext, losers: Dict[str, RestartTxn],
     return stats
 
 
-def _emit_unapplied_clr(ctx: RecoveryContext, record: UpdateRecord,
-                        txn: RestartTxn, prev_lsn: int) -> int:
-    """Log the CLR for a never-redone loser update without applying it.
+class FusedRecoveryEngine(RecoveryEngine):
+    """Single fused scan plus chain-walk undo; results identical to serial."""
 
-    The CLR LSN must exceed the (never-applied) update's LSN: a future
-    restart that redoes both must order update before CLR, and the
-    server clock after a crash has only observed re-appended records —
-    possibly none as new as this loser.
-    """
-    effect = physical_undo_effect(record)
-    page = ctx.pages.fetch(effect.page_id)
-    clr_lsn = ctx.clr_writer.next_lsn(max(page.page_lsn, record.lsn))
-    clr = CompensationRecord(
-        lsn=clr_lsn,
-        client_id=txn.client_id,
-        txn_id=txn.txn_id,
-        prev_lsn=prev_lsn,
-        undo_next_lsn=record.prev_lsn,
-        page_id=effect.page_id,
-        op=effect.op,
-        slot=effect.slot,
-        after=effect.after,
-        key=effect.key,
-    )
-    ctx.clr_writer.append(clr)
-    return clr_lsn
-
-
-# ---------------------------------------------------------------------------
-# Partitioned: fused scan + pruned partition scans + chain-walk undo
-# ---------------------------------------------------------------------------
-
-class PartitionedRecoveryEngine(RecoveryEngine):
-    """Deterministic partition workers; results identical to serial."""
-
-    name = "partitioned"
-
-    def __init__(self, partitions: int = 4) -> None:
-        self.partitions = max(1, partitions)
+    name = "fused"
 
     def run(self, ctx: RecoveryContext) -> EngineResult:
-        collector = _CandidateCollector(ctx.client_filter)
-        fused = ctx.analysis_supplier is None
+        fused = (_Candidates(ctx.client_filter)
+                 if ctx.analysis_supplier is None else None)
         analysis = _analysis_phase(
-            self, ctx, header_sink=collector.sink if fused else None)
-        fallback: Optional[str] = None
+            self, ctx, header_sink=fused.sink if fused is not None else None)
 
         def _redo() -> RedoStats:
             stats = RedoStats()
-            parts, scanned = _collect_candidates(
-                ctx, analysis, collector, fused, self.partitions)
-            stats.records_scanned = scanned
-            tracer = ctx.tracer
-            for p, items in enumerate(parts):
-                pspan = 0
-                if tracer is not None:
-                    pspan = tracer.begin(
-                        "recovery", "redo-partition", "server",
-                        **ctx.span_attrs, engine=self.name, partition=p,
-                        candidates=len(items),
-                    )
-                before = stats.redos_applied
-                _apply_candidates(ctx, analysis, items, stats)
-                if tracer is not None:
-                    tracer.end(pspan,
-                               redos_applied=stats.redos_applied - before)
+            items, stats.records_scanned = _redo_candidates(ctx, analysis,
+                                                            fused)
+            _apply_candidates(ctx, analysis, items, stats)
             return stats
 
         redo, forwarded = _redo_phase(self, ctx, analysis, _redo)
         losers = _select_losers(ctx, analysis)
+        fallback: Optional[str] = None
 
         def _undo() -> UndoStats:
             nonlocal fallback
@@ -686,118 +567,26 @@ class PartitionedRecoveryEngine(RecoveryEngine):
                 fallback = "undo-chain-lookup-miss"
                 return undo_pass(ctx.log, losers, ctx.pages, ctx.clr_writer,
                                  ctx.logical_undo, faults=ctx.faults)
-            return _chain_undo(ctx, losers, items, apply_pages=True)
+            return _chain_undo(ctx, losers, items)
 
         undo = _undo_phase(self, ctx, losers, _undo)
         return EngineResult(self.name, analysis, redo, undo, forwarded,
                             fallback=fallback)
 
 
-# ---------------------------------------------------------------------------
-# Redo-only: single forward pass, losers never redone
-# ---------------------------------------------------------------------------
-
-class RedoOnlyRecoveryEngine(RecoveryEngine):
-    """Sauer & Härder's single-pass restart, gated for applicability."""
-
-    name = "redo_only"
-
-    def run(self, ctx: RecoveryContext) -> EngineResult:
-        collector = _CandidateCollector(ctx.client_filter)
-        fused = ctx.analysis_supplier is None
-        analysis = _analysis_phase(
-            self, ctx, header_sink=collector.sink if fused else None)
-        losers = _select_losers(ctx, analysis)
-        chain_items, reason = self._gate(ctx, analysis, losers)
-
-        if reason is not None:
-            # Serial fallback: the standard redo + scanning undo over the
-            # analysis already in hand.
-            redo, forwarded = _redo_phase(
-                self, ctx, analysis,
-                lambda: redo_pass(ctx.log, analysis, ctx.pages,
-                                  client_filter=ctx.client_filter,
-                                  faults=ctx.faults),
-            )
-            undo = _undo_phase(
-                self, ctx, losers,
-                lambda: undo_pass(ctx.log, losers, ctx.pages, ctx.clr_writer,
-                                  ctx.logical_undo, faults=ctx.faults),
-            )
-            return EngineResult(self.name, analysis, redo, undo, forwarded,
-                                fallback=reason)
-
-        skip = set(losers)
-
-        def _redo() -> RedoStats:
-            stats = RedoStats()
-            parts, scanned = _collect_candidates(
-                ctx, analysis, collector, fused, partitions=1)
-            stats.records_scanned = scanned
-            _apply_candidates(ctx, analysis, parts[0], stats, skip=skip)
-            return stats
-
-        redo, forwarded = _redo_phase(self, ctx, analysis, _redo)
-        assert chain_items is not None
-        undo = _undo_phase(
-            self, ctx, losers,
-            lambda: _chain_undo(ctx, losers, chain_items, apply_pages=False),
-        )
-        return EngineResult(self.name, analysis, redo, undo, forwarded)
-
-    def _gate(self, ctx: RecoveryContext, analysis: AnalysisResult,
-              losers: Dict[str, RestartTxn]
-              ) -> Tuple[Optional[List[_ChainItem]], Optional[str]]:
-        """Check the never-redone treatment is sound; resolve chains.
-
-        Runs strictly before any page is modified, so a failed gate
-        falls back to the serial passes with nothing to unwind.
-        """
-        for txn in analysis.txns.values():
-            if txn.state == "prepared":
-                return None, "prepared-transactions-present"
-        for txn in losers.values():
-            # A loser whose newest record is not the next to undo has
-            # trailing CLRs or NTA pieces from an interrupted rollback;
-            # skipping interacts with already-applied compensation, so
-            # leave those histories to the serial passes.
-            if (txn.undo_next_lsn != NULL_LSN
-                    and txn.undo_next_lsn != txn.last_lsn):
-                return None, "loser-has-partial-rollback"
-        try:
-            items = _resolve_chains(ctx, losers)
-        except _ChainLookupMiss:
-            return None, "undo-chain-lookup-miss"
-        for addr, header, _txn_id in items:
-            if header.is_clr():
-                return None, "loser-has-partial-rollback"
-            if header.redo_only:
-                continue
-            record = ctx.log.read_at(addr)
-            assert isinstance(record, UpdateRecord)
-            if record.undo_is_logical() and ctx.logical_undo is not None:
-                return None, "logical-undo-required"
-            page = ctx.pages.fetch(header.page_id)
-            if page.page_lsn >= header.lsn:
-                # The update is already in the pre-redo image (shipped
-                # and externalized before the crash): it cannot be
-                # treated as never-redone.
-                return None, "loser-update-externalized"
-        return items, None
+# The traced perfbench run still names the retired engine classes when it
+# installs its recovery spans; drop these aliases together with those two
+# entries (ROADMAP open item 6).
+PartitionedRecoveryEngine = FusedRecoveryEngine
+RedoOnlyRecoveryEngine = FusedRecoveryEngine
 
 
-# ---------------------------------------------------------------------------
-# Factory
-# ---------------------------------------------------------------------------
-
-def make_engine(name: str, partitions: int = 4) -> RecoveryEngine:
+def make_engine(name: str) -> RecoveryEngine:
     """Engine registry keyed by ``SystemConfig.recovery_engine``."""
+    if name == "fused":
+        return FusedRecoveryEngine()
     if name == "serial":
         return SerialRecoveryEngine()
-    if name == "partitioned":
-        return PartitionedRecoveryEngine(partitions)
-    if name == "redo_only":
-        return RedoOnlyRecoveryEngine()
     raise ValueError(
         f"unknown recovery engine {name!r}; expected one of {ENGINE_NAMES}"
     )

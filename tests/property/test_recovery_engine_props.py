@@ -1,11 +1,11 @@
-"""Property: every recovery engine restarts to the same durable state.
+"""Property: the fused engine restarts to serial's durable state.
 
-The serial, partitioned and redo_only engines must agree on randomized
-crash states: identical record values everywhere, identical loser sets
-and CLR counts, and — for partitioned, which promises byte-identity
-with serial — identical page images including page_LSNs.  redo_only
-never re-applies loser updates, so its page_LSNs may legitimately
-differ; its *logical* page content (the record arrays) must not.
+The fused engine and the serial reference must agree on randomized
+crash states: identical record values everywhere, identical redo, CLR
+and rollback counts, and byte-identical page images including
+page_LSNs.  Histories include client crashes: a reconnected client's
+LSN clock starts over, so it reissues LSNs it already logged, and the
+fused engine's chain-walk undo must not be fooled by them.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,13 +18,15 @@ from repro.workloads.generator import seed_table
 SLOW = settings(max_examples=15, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
-ENGINES = ("serial", "partitioned", "redo_only")
+ENGINES = ("serial", "fused")
 
 #: One step per transaction: (client 0/1, rid choice, outcome, ckpt?).
-#: Outcomes: 0 = commit, 1 = rollback, 2 = strand (left in flight).
+#: Outcomes: 0 = commit, 1 = rollback, 2 = strand (left in flight),
+#: 3 = no transaction: crash the client (the server recovers it) and
+#: reconnect it.
 steps = st.lists(
     st.tuples(st.integers(0, 1), st.integers(0, 5),
-              st.integers(0, 2), st.booleans()),
+              st.integers(0, 3), st.booleans()),
     min_size=1, max_size=14)
 
 
@@ -48,6 +50,12 @@ def build_crash_state(engine, script):
     stranded_rids = set()
     for index, (who, rid_index, outcome, ckpt) in enumerate(script):
         client = clients[who]
+        if outcome == 3:
+            # Client recovery rolls the client's stranded transactions
+            # back; their rids stay skipped, which is merely cautious.
+            system.crash_client(client.client_id)
+            system.reconnect_client(client.client_id)
+            continue
         # Clients own alternating rids; dodge rids locked by a stranded
         # transaction (theirs or anyone's).
         mine = [r for i, r in enumerate(rids)
@@ -93,31 +101,19 @@ class TestEngineEquivalence:
     def test_engines_agree_on_randomized_crash_states(self, script):
         results = {e: restart_under(e, script) for e in ENGINES}
         serial_report, serial_values, serial_pages = results["serial"]
-
-        for engine in ("partitioned", "redo_only"):
-            report, values, pages = results[engine]
-            # Same durable values and the same loser set everywhere.
-            assert values == serial_values, engine
-            assert report.txns_rolled_back == serial_report.txns_rolled_back
-            assert report.clrs_written == serial_report.clrs_written
-
-        # Partitioned promises byte-identity: page images including LSNs.
-        _, _, part_pages = results["partitioned"]
-        assert part_pages == serial_pages
-
-        # redo_only (when its gate held) skips loser redo, so page_LSNs
-        # may differ — but the logical content must match record for
-        # record.
-        _, _, ro_pages = results["redo_only"]
-        for page_id, (_lsn, records) in ro_pages.items():
-            assert records == serial_pages[page_id][1]
+        report, values, pages = results["fused"]
+        # Same durable values, the same loser set, and byte-identical
+        # page images (page_LSNs included).
+        assert values == serial_values
+        assert report.txns_rolled_back == serial_report.txns_rolled_back
+        assert report.clrs_written == serial_report.clrs_written
+        assert pages == serial_pages
 
     @SLOW
     @given(steps)
-    def test_partitioned_matches_serial_counters(self, script):
+    def test_fused_matches_serial_counters(self, script):
         serial_report, _, _ = restart_under("serial", script)
-        part_report, _, _ = restart_under("partitioned", script)
-        assert part_report.redos_applied == serial_report.redos_applied
-        assert part_report.clrs_written == serial_report.clrs_written
-        assert part_report.txns_rolled_back == serial_report.txns_rolled_back
-        assert part_report.fallback is None or part_report.fallback
+        fused_report, _, _ = restart_under("fused", script)
+        assert fused_report.redos_applied == serial_report.redos_applied
+        assert fused_report.clrs_written == serial_report.clrs_written
+        assert fused_report.txns_rolled_back == serial_report.txns_rolled_back

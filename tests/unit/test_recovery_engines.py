@@ -1,16 +1,26 @@
-"""Unit tests for the pluggable recovery engines (DESIGN.md section 13).
+"""Unit tests for the recovery engines (DESIGN.md section 13).
 
 The randomized equivalence contract lives in
 ``tests/property/test_recovery_engine_props.py``; these tests pin the
-factory, the per-engine restart reports on one deterministic crash
-state, and the redo_only applicability gate's fallback reasons.
+factory, the fused engine against serial on one deterministic crash
+state, and the fused undo's fallback when a reconnected client reissued
+an LSN it had already logged.
 """
 
 import pytest
 
 from repro.config import SystemConfig
+from repro.core.log_records import FrameHeader
+from repro.core.lsn import NULL_LSN
+from repro.core.recovery import RestartTxn
 from repro.core.system import ClientServerSystem
-from repro.recovery.engines import ENGINE_NAMES, make_engine
+from repro.recovery.engines import (
+    ENGINE_NAMES,
+    RecoveryContext,
+    _ChainLookupMiss,
+    _resolve_chains,
+    make_engine,
+)
 from repro.workloads.generator import seed_table
 
 
@@ -59,43 +69,59 @@ class TestFactory:
             assert name in str(err.value)
 
 
+def reissued_lsn_crash(engine):
+    """A loser whose first LSN C1 already logged before it crashed.
+
+    A client's LSN clock does not survive its crash, so after reconnect
+    the loser's first update gets ``page_LSN + 1`` of a page C1 last
+    touched long ago — an LSN an older C1 transaction already used.
+    """
+    system, rids = build_system(engine)
+    c1 = system.client("C1")
+    for i in range(3):
+        txn = c1.begin()
+        c1.update(txn, rids[0], ("old", i))
+        c1.commit(txn)
+    system.crash_client("C1")
+    system.reconnect_client("C1")
+    loser = c1.begin()
+    for rid in rids[3:6]:
+        c1.update(loser, rid, ("loser",))
+    c1._ship_log_records()
+    system.server.log.force()
+    first = next(header for _, header in system.server.log.scan_headers(0)
+                 if header.txn_id == loser.txn_id)
+    assert system.server.log.addr_of_lsn("C1", first.lsn) is None
+    system.crash_all()
+    return system, rids
+
+
 class TestEnginesOnOneCrashState:
-    def test_partitioned_pages_byte_identical_to_serial(self):
+    def test_fused_pages_byte_identical_to_serial(self):
         serial_sys, rids = crash_with_losers("serial")
         serial_report = serial_sys.restart_all()
-        part_sys, _ = crash_with_losers("partitioned")
-        part_report = part_sys.restart_all()
+        fused_sys, _ = crash_with_losers("fused")
+        fused_report = fused_sys.restart_all()
 
-        assert part_report.fallback is None
-        assert part_report.redos_applied == serial_report.redos_applied
-        assert part_report.clrs_written == serial_report.clrs_written
-        assert part_report.txns_rolled_back == serial_report.txns_rolled_back
+        assert fused_report.fallback is None
+        assert fused_report.redos_applied == serial_report.redos_applied
+        assert fused_report.clrs_written == serial_report.clrs_written
+        assert fused_report.txns_rolled_back == serial_report.txns_rolled_back
         for rid in rids:
             serial_page = serial_sys.server_visible_page(rid.page_id)
-            part_page = part_sys.server_visible_page(rid.page_id)
-            assert part_page.page_lsn == serial_page.page_lsn
-            assert list(part_page._records) == list(serial_page._records)
-
-    def test_redo_only_skips_loser_redo_same_values(self):
-        serial_sys, rids = crash_with_losers("serial")
-        serial_report = serial_sys.restart_all()
-        ro_sys, _ = crash_with_losers("redo_only")
-        ro_report = ro_sys.restart_all()
-
-        assert ro_report.fallback is None
-        assert ro_report.txns_rolled_back == serial_report.txns_rolled_back
-        assert ro_report.clrs_written == serial_report.clrs_written
-        # The losers' updates are never applied, so redo_only redoes
-        # strictly less than serial on this corpus.
-        assert ro_report.redos_applied < serial_report.redos_applied
-        for rid in rids:
-            assert (ro_sys.server_visible_value(rid)
-                    == serial_sys.server_visible_value(rid))
+            fused_page = fused_sys.server_visible_page(rid.page_id)
+            assert fused_page.page_lsn == serial_page.page_lsn
+            assert list(fused_page._records) == list(serial_page._records)
 
 
-class TestRedoOnlyGate:
-    def test_prepared_transaction_forces_serial_fallback(self):
-        system, rids = build_system("redo_only")
+class TestFusedEngine:
+    def test_default_engine_is_fused(self):
+        system, _ = build_system(SystemConfig.recovery_engine)
+        system.crash_all()
+        assert system.restart_all().engine == "fused"
+
+    def test_prepared_transaction_needs_no_fallback(self):
+        system, rids = build_system("fused")
         c1 = system.client("C1")
         txn = c1.begin("in-doubt")
         c1.update(txn, rids[0], ("prepared", 1))
@@ -104,20 +130,71 @@ class TestRedoOnlyGate:
         system.server.log.force()
         system.crash_all()
         report = system.restart_all()
-        assert report.fallback == "prepared-transactions-present"
+        assert report.fallback is None
+        assert report.txns_rolled_back == 0
 
+
+class TestChainLookupFallback:
     def test_fallback_still_recovers_correctly(self):
-        system, rids = build_system("redo_only")
+        serial_sys, rids = reissued_lsn_crash("serial")
+        serial_report = serial_sys.restart_all()
+        fused_sys, _ = reissued_lsn_crash("fused")
+        fused_report = fused_sys.restart_all()
+
+        assert fused_report.fallback == "undo-chain-lookup-miss"
+        assert fused_report.clrs_written == serial_report.clrs_written == 3
+        assert fused_report.txns_rolled_back == 1
+        assert fused_sys.server_visible_value(rids[0]) == ("old", 2)
+        for rid in rids:
+            serial_page = serial_sys.server_visible_page(rid.page_id)
+            fused_page = fused_sys.server_visible_page(rid.page_id)
+            assert fused_page.page_lsn == serial_page.page_lsn
+            assert list(fused_page._records) == list(serial_page._records)
+
+    def test_reused_transaction_name_keeps_committed_work(self):
+        # A client may reuse a transaction name once its table is gone:
+        # the reconnected C1's loser "x" reissues the LSN of the old,
+        # committed "x"'s second update, so only the LSN (not the
+        # transaction id) tells the two records apart.
+        system, rids = build_system("fused")
         c1 = system.client("C1")
-        committed = c1.begin("ok")
-        c1.update(committed, rids[0], ("kept", 0))
-        c1.commit(committed)
-        prepared = c1.begin("in-doubt")
-        c1.update(prepared, rids[1], ("prepared", 1))
-        c1.prepare(prepared)
+        for i in range(2):
+            pad = c1.begin()
+            c1.update(pad, rids[6], ("pad", i))
+            c1.commit(pad)
+        old = c1.begin("x")
+        c1.update(old, rids[0], ("old",))
+        c1.update(old, rids[3], ("old",))
+        c1.commit(old)
+        system.crash_client("C1")
+        system.reconnect_client("C1")
+        loser = c1.begin("x")
+        c1.update(loser, rids[0], ("loser",))
+        c1.update(loser, rids[1], ("loser",))
         c1._ship_log_records()
         system.server.log.force()
+        updates = [header.lsn for _, header in system.server.log.scan_headers(0)
+                   if header.txn_id == "x" and header.is_update()]
+        assert updates[2] == updates[1], "the loser must reissue an LSN"
         system.crash_all()
         report = system.restart_all()
-        assert report.fallback == "prepared-transactions-present"
-        assert system.server_visible_value(rids[0]) == ("kept", 0)
+
+        assert report.fallback == "undo-chain-lookup-miss"
+        assert report.clrs_written == 2
+        assert system.server_visible_value(rids[0]) == ("old",)
+        assert system.server_visible_value(rids[3]) == ("old",)
+
+    def test_lookup_landing_on_another_transaction_is_a_miss(self):
+        class Log:
+            def addr_of_lsn(self, client_id, lsn):
+                return 7
+
+            def header_at(self, addr):
+                return FrameHeader(type_tag="UPD", lsn=9, client_id="C1",
+                                   txn_id="C1.T2", prev_lsn=NULL_LSN)
+
+        ctx = RecoveryContext(log=Log(), pages=None, clr_writer=None,
+                              crashpoint_prefix="server.restart")
+        loser = RestartTxn("C1.T8", "C1", last_lsn=9, undo_next_lsn=9)
+        with pytest.raises(_ChainLookupMiss):
+            _resolve_chains(ctx, {"C1.T8": loser})
